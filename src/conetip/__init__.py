@@ -26,4 +26,13 @@ from .absorption import (AbsorptionSelection, ConsistencyVerdict,
                          finite_difference_slope, perturbation_slope,
                          select_outgoing_by_absorption, trajectory)
 from .io import ResultBundle, RunConfig, parse_config, serialize_config, write_results
-from .cli import run_command
+
+
+def __getattr__(name):
+    # The CLI loads on first use, so ``python -m conetip.cli`` does not find
+    # it already imported by the package.
+    if name in ("cli", "run_command"):
+        import importlib
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else cli.run_command
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cap import DiscreteCap, PencilMatrices, assemble_dissipative_pencil, assemble_pencil
+from .cap import DiscreteCap, PencilMatrices, assemble_pencil
 from .errors import DimensionMismatch, PerturbationDegenerate, TrajectoryLost
 from .flux import MandelstamBasis
-from .spectrum import ETA_MIN, LineEigenvalue, solve_pencil
+from .spectrum import ETA_MIN, RESIDUAL_TOL, LineEigenvalue, _normalize_one
 
 OVERLAP_MIN = 0.9
 SLOPE_AMBIGUOUS = 1e-10
+_RQI_MAX_ITER = 30
 
 PLUS_BRANCH = "plus"
 MINUS_BRANCH = "minus"
@@ -44,11 +45,16 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
                branch: str = PLUS_BRANCH, eigen_index: int = 0) -> list:
     """Continue one eigenpair through a descending dissipation grid.
 
-    At each delta the eigenpair of ``A0 + i delta A1 - Lambda (B0 + i delta B1)``
-    with the largest weight-one overlap against the previous vector is taken;
-    the exponent branch is continued by proximity (never re-picked from the
-    principal root, which would jump across the line).  Overlap below 0.9
-    aborts with ``trajectory-lost``.
+    At each delta the point is the certified eigenpair of
+    ``A0 + i delta A1 - Lambda (B0 + i delta B1)`` reached by Rayleigh-quotient
+    iteration from the previous pair: shift-and-invert solves on the banded
+    pencil (half-bandwidth = element order), the shift updated to the
+    two-sided Rayleigh quotient until the residual reaches rounding level.
+    A residual not below ``RESIDUAL_TOL`` or a weight-one overlap with the
+    previous vector below 0.9 aborts with ``trajectory-lost``.  The exponent
+    branch is continued by proximity (never re-picked from the principal
+    root, which would jump across the line); vectors are normalized as in
+    :func:`~conetip.spectrum.solve_pencil`.
     """
     deltas = list(delta_grid)
     if any(d <= 0 for d in deltas) or any(np.diff(deltas) >= 0):
@@ -60,22 +66,63 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
     points = [TrajectoryPoint(delta=0.0, Lambda=complex(le.Lambda),
                               lam=lam_prev, vector=v_prev, overlap=1.0)]
     for d in deltas:
-        spec = solve_pencil(assemble_dissipative_pencil(cap, d))
-        best, best_ov = None, -1.0
-        for p in spec.pairs:
-            ov = abs(np.conj(v_prev) @ (m1 @ p.vector))
-            if ov > best_ov:
-                best, best_ov = p, ov
-        if best is None or best_ov < OVERLAP_MIN:
-            raise TrajectoryLost(f"max overlap {best_ov:.3f} at delta={d:g}")
-        root = np.sqrt(best.Lambda + 0.25)
-        cands = (-0.5 + root, -0.5 - root)
-        lam = min(cands, key=lambda c: abs(c - lam_prev))
-        points.append(TrajectoryPoint(delta=float(d), Lambda=best.Lambda,
-                                      lam=complex(lam), vector=best.vector,
-                                      overlap=float(best_ov)))
-        v_prev, lam_prev = best.vector, lam
+        A = base.A + 1j * d * base.stiffness_one
+        B = base.B + 1j * d * m1
+        Lam, v, res = _rayleigh_iteration(A, B, cap.mesh.element_order,
+                                          points[-1].Lambda, v_prev)
+        if not res < RESIDUAL_TOL:
+            raise TrajectoryLost(f"no certified eigenpair at delta={d:g} "
+                                 f"(residual {res:.2e})")
+        v = _normalize_one(v, m1)
+        ov = abs(np.conj(v_prev) @ (m1 @ v))
+        if ov < OVERLAP_MIN:
+            raise TrajectoryLost(f"overlap {ov:.3f} at delta={d:g}")
+        root = np.sqrt(Lam + 0.25)
+        lam = min((-0.5 + root, -0.5 - root), key=lambda c: abs(c - lam_prev))
+        v.setflags(write=False)
+        points.append(TrajectoryPoint(delta=float(d), Lambda=Lam,
+                                      lam=complex(lam), vector=v,
+                                      overlap=float(ov)))
+        v_prev, lam_prev = v, lam
     return points
+
+
+def _band(M: np.ndarray, u: int) -> np.ndarray:
+    """Diagonal-ordered storage of a matrix of half-bandwidth ``u``, as
+    ``scipy.linalg.solve_banded`` takes it."""
+    n = M.shape[0]
+    ab = np.zeros((2 * u + 1, n), dtype=M.dtype)
+    for k in range(-u, u + 1):
+        ab[u - k, max(k, 0):n + min(k, 0)] = np.diagonal(M, k)
+    return ab
+
+
+def _rayleigh_iteration(A, B, u, Lam, v):
+    """Eigenpair of the pencil ``(A, B)`` of half-bandwidth ``u`` reached from
+    ``(Lam, v)`` by shift-and-invert iteration, the shift updated each step to
+    the two-sided Rayleigh quotient ``x^T A x / x^T B x`` of the complex
+    symmetric pencil.
+
+    Returns ``(Lambda, vector, residual)``, the residual normalized by the
+    largest column norms of A and B (lower bounds on their 2-norms).  The
+    iteration stops once the residual is below ``RESIDUAL_TOL`` and no longer
+    halving, i.e. at rounding level, or after ``_RQI_MAX_ITER`` solves.
+    """
+    A_band, B_band = _band(A, u), _band(B, u)
+    norm_a = np.linalg.norm(A, axis=0).max()
+    norm_b = np.linalg.norm(B, axis=0).max()
+    res = np.inf
+    for _ in range(_RQI_MAX_ITER):
+        x = scipy.linalg.solve_banded((u, u), A_band - Lam * B_band, B @ v,
+                                      check_finite=False)
+        x = x / np.linalg.norm(x)
+        Ax, Bx = A @ x, B @ x
+        Lam_x = complex(x @ Ax / (x @ Bx))
+        res_x = np.linalg.norm(Ax - Lam_x * Bx) / (norm_a + abs(Lam_x) * norm_b)
+        if res < RESIDUAL_TOL and not res_x < res / 2:
+            break
+        Lam, v, res = Lam_x, x, res_x
+    return Lam, v, res
 
 
 def perturbation_slope(P0: PencilMatrices, P1_parts, le: LineEigenvalue):

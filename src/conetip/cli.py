@@ -19,8 +19,6 @@ from .io import ResultBundle, RunConfig, SUBCOMMANDS, parse_config, write_result
 from .spectrum import (line_eigenvalues, solve_pencil, spectral_weights,
                        weight_star)
 
-_LINE_BAND = 1e-6
-
 
 def _geometry(config: RunConfig) -> CapGeometry:
     g = config.geometry

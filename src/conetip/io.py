@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError
 
 SUBCOMMANDS = ("spectrum", "interval", "aleph", "basis", "trajectory",
@@ -199,7 +200,7 @@ class ResultBundle:
     config: RunConfig
     tables: dict = field(default_factory=dict)
     documents: dict = field(default_factory=dict)
-    version: str = "0.1.0"
+    version: str = __version__
 
     @property
     def meta(self) -> dict:

@@ -62,6 +62,18 @@ def lambda_from_Lambda(Lambda: complex):
     return (-0.5 + s, -0.5 - s)
 
 
+def _normalize_one(v: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """Scale ``v`` to unit weight-one norm and rotate its largest entry onto
+    the positive real axis (an imaginary part at rounding level is zeroed)."""
+    v = v / np.sqrt(np.real(np.conj(v) @ (m1 @ v)))
+    k = int(np.argmax(np.abs(v)))
+    v = v * (np.conj(v[k]) / abs(v[k]))
+    if abs(v[k].imag) < 1e-13 * abs(v[k].real):
+        v = v + 0j
+        v.imag[k] = 0.0
+    return v
+
+
 def solve_pencil(P: PencilMatrices, residual_tol: float = RESIDUAL_TOL,
                  method: str = "qz") -> SpectrumResult:
     """Solve ``A v = Lambda B v`` densely.
@@ -91,12 +103,7 @@ def solve_pencil(P: PencilMatrices, residual_tol: float = RESIDUAL_TOL,
         if not np.isfinite(lam):
             n_rejected += 1
             continue
-        v = v / np.sqrt(np.real(np.conj(v) @ (m1 @ v)))
-        k = int(np.argmax(np.abs(v)))
-        v = v * (np.conj(v[k]) / abs(v[k]))
-        if abs(v[k].imag) < 1e-13 * abs(v[k].real):
-            v = v + 0j
-            v.imag[k] = 0.0
+        v = _normalize_one(v, m1)
         res = np.linalg.norm(A @ v - lam * (B @ v)) / (norm_a + abs(lam) * norm_b)
         if res < residual_tol:
             v.setflags(write=False)
@@ -143,14 +150,10 @@ def _one_orthonormalize(vectors, m1):
     """Gram-Schmidt in the sesquilinear weight-one inner product."""
     out = []
     for v in vectors:
-        v = np.array(v, dtype=complex)
+        v = np.asarray(v, dtype=complex)
         for u in out:
             v = v - (np.conj(u) @ (m1 @ v)) * u
-        n = np.sqrt(np.real(np.conj(v) @ (m1 @ v)))
-        v /= n
-        k = int(np.argmax(np.abs(v)))
-        v *= np.conj(v[k]) / abs(v[k])
-        out.append(v)
+        out.append(_normalize_one(v, m1))
     return out
 
 

@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import conetip as ct
-from conetip.absorption import AMBIGUOUS, MINUS_BRANCH, PLUS_BRANCH
-from conetip.errors import DimensionMismatch, PerturbationDegenerate
+from conetip.absorption import AMBIGUOUS, MINUS_BRANCH, OVERLAP_MIN, PLUS_BRANCH
+from conetip.errors import DimensionMismatch, PerturbationDegenerate, TrajectoryLost
+from conetip.spectrum import RESIDUAL_TOL
 
 DELTAS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 
@@ -48,6 +49,66 @@ def test_trajectory_moves_off_axis_linearly(tracked):
     dist = np.array([abs(p.Lambda - le.Lambda) for p in points[1:]])
     slope = np.polyfit(np.log(d[-3:]), np.log(dist[-3:]), 1)[0]
     assert abs(slope - 1.0) < 0.05
+
+
+def test_trajectory_point_contract(tracked):
+    cap, P0, _, points = tracked
+    for p in points:
+        P = ct.assemble_dissipative_pencil(cap, p.delta) if p.delta else P0
+        v = p.vector
+        res = np.linalg.norm(P.A @ v - p.Lambda * (P.B @ v)) / (
+            np.linalg.norm(P.A, 2) + abs(p.Lambda) * np.linalg.norm(P.B, 2))
+        assert res < RESIDUAL_TOL
+        assert abs(np.real(np.conj(v) @ (P0.mass_one @ v)) - 1.0) < 1e-12
+        k = int(np.argmax(np.abs(v)))
+        assert v[k].imag == 0.0 and v[k].real > 0.0
+
+
+def _qz_trajectory(cap, le, grid, branch):
+    """Dense-QZ reference: at each delta the certified eigenpair of largest
+    weight-one overlap with the previous vector; ``None`` once that overlap
+    falls below OVERLAP_MIN."""
+    m1 = ct.assemble_pencil(cap).mass_one
+    v = le.eigenvectors[0]
+    lam = le.lam if branch == PLUS_BRANCH else np.conj(le.lam)
+    out = []
+    for d in grid:
+        pairs = ct.solve_pencil(ct.assemble_dissipative_pencil(cap, d)).pairs
+        overlaps = [abs(np.conj(v) @ (m1 @ p.vector)) for p in pairs]
+        best = pairs[int(np.argmax(overlaps))]
+        if max(overlaps) < OVERLAP_MIN:
+            return None
+        root = np.sqrt(best.Lambda + 0.25)
+        lam = min((-0.5 + root, -0.5 - root), key=lambda c: abs(c - lam))
+        out.append((best.Lambda, lam))
+        v = best.vector
+    return out
+
+
+@pytest.mark.parametrize("alpha, kappa, mode, grid, branch, kept", [
+    (np.pi / 4, -0.5, 0, [1e-2, 1e-4, 1e-6], PLUS_BRANCH, True),
+    (np.pi / 4, -0.75, 0, [1e-3, 1e-5], MINUS_BRANCH, True),
+    (np.pi / 4, -0.93, 1, [1e-2, 1e-4], PLUS_BRANCH, True),
+    # a shift held fixed at the previous Lambda loses this one
+    (1.143, -0.68, 0, [1e-1, 1e-2], PLUS_BRANCH, True),
+    # deep contrast, large first step: both must lose the pair
+    (np.pi / 4, -0.97, 0, [1e-1, 1e-2], PLUS_BRANCH, False),
+])
+def test_trajectory_matches_dense_qz(alpha, kappa, mode, grid, branch, kept):
+    cap = ct.build_cap(ct.CapGeometry("internal", alpha),
+                       ct.MaterialSpec.from_contrast(kappa), mode, 64, 2)
+    le = next(e for e in ct.line_eigenvalues(ct.solve_pencil(ct.assemble_pencil(cap)))
+              if e.multiplicity == 1 and not e.near_quarter)
+    ref = _qz_trajectory(cap, le, grid, branch)
+    assert (ref is not None) == kept
+    if not kept:
+        with pytest.raises(TrajectoryLost):
+            ct.trajectory(cap, le, grid, branch)
+        return
+    points = ct.trajectory(cap, le, grid, branch)
+    for p, (Lam, lam) in zip(points[1:], ref, strict=True):
+        assert abs(p.Lambda - Lam) <= 1e-10 * abs(Lam)
+        assert abs(p.lam - lam) <= 1e-10 * abs(lam)
 
 
 def test_perturbation_matches_finite_difference(tracked):

@@ -114,6 +114,24 @@ def test_assembly_deterministic(quarter_tip, critical_material):
     assert np.array_equal(P1.A, P2.A) and np.array_equal(P1.B, P2.B)
 
 
+@pytest.mark.parametrize("geometry", [
+    ct.CapGeometry("internal", np.pi / 4),
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=np.pi / 2, outer_bc="dirichlet"),
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=np.pi, outer_bc="neumann"),
+])
+def test_pencil_half_bandwidth_is_element_order(geometry, critical_material):
+    # the banded trajectory solve relies on this for every cap kind and mode
+    for order in (1, 2):
+        for mode in (0, 1):
+            P = ct.assemble_pencil(ct.build_cap(geometry, critical_material,
+                                                mode, 12, order))
+            i, j = np.indices(P.A.shape)
+            outside = np.abs(i - j) > order
+            for M in (P.A, P.B, P.stiffness_one, P.mass_one):
+                assert not M[outside].any()
+                assert np.diagonal(M, order).any()
+
+
 def test_dissipative_pencil_structure(quarter_tip, critical_material):
     cap = ct.build_cap(quarter_tip, critical_material, 0, 24, 2)
     base = ct.assemble_pencil(cap)

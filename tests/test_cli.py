@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -121,11 +125,32 @@ def test_trajectory_csv_contract(tmp_path):
         "modes": [0],
         "mesh": {"elements": 32, "order": 2},
         "sweep": {"delta_grid": [1e-3, 1e-4, 1e-5]}}))
-    bundle = run_command(cfg)
-    write_results(bundle, tmp_path)
-    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    outputs = []
+    for run in ("a", "b"):
+        paths = write_results(run_command(cfg), tmp_path / run)
+        outputs.append({p.name: p.read_bytes() for p in paths})
+    assert outputs[0] == outputs[1]
+    lines = outputs[0]["trajectory.csv"].decode().splitlines()
     assert lines[0] == "delta,re_lambda,im_lambda,overlap"
     assert len(lines) == 1 + 4  # undamped point + grid
+
+
+def test_module_entry_point_is_quiet():
+    src = pathlib.Path(ct.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "conetip.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: conetip")
+    assert proc.stderr == ""
+
+
+def test_cli_resolved_lazily():
+    from conetip import run_command as lazy
+    assert lazy is ct.cli.run_command is run_command
+    with pytest.raises(AttributeError):
+        ct.no_such_name
 
 
 def test_basis_weights_blowup_bundles(tmp_path):
