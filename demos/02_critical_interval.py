@@ -2,7 +2,8 @@
 
 The hypergeometric expression aleph(alpha) gives the endpoint of the interval
 of contrasts carrying black-hole waves; the scanner rediscovers it from the
-discretized pencils alone and reports which azimuthal mode attains it.
+discretized pencils alone, as the union of the per-mode dispersion curves
+kappa_m(eta), and reports which azimuthal mode attains it.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ for alpha in (0.5, np.pi / 4, 1.2, np.pi / 2, 2.2):
           f"{a * ct.aleph(np.pi - alpha):.12f}")
 
 tip = ct.CapGeometry("internal", np.pi / 4)
-print("\nscanning contrasts in [-0.6, -0.06] at aperture pi/4 ...")
+print("\ncritical interval inside [-0.6, -0.06] at aperture pi/4 ...")
 ci = ct.scan_interval(tip, kappa_range=(-0.6, -0.06), grid=10,
                       bisect_tol=1e-3, modes=(0, 1, 2), elements=64)
 print(f"detected endpoint : {ci.endpoint_outer:.6f}")

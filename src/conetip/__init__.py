@@ -19,8 +19,8 @@ from .flux import (FluxMatrix, Hypersingularity, LogPolynomial,
                    flux_quadrature_oracle, mandelstam_basis, power_integral,
                    radial_gradient_sq_integral, singular_sequence_norm,
                    singular_space, trapped_energy)
-from .interval import (CriticalInterval, aleph, has_blackhole, hyp2f1,
-                       scan_interval)
+from .interval import (CriticalInterval, aleph, dispersion_relation,
+                       has_blackhole, hyp2f1, scan_interval)
 from .absorption import (AbsorptionSelection, ConsistencyVerdict,
                          TrajectoryPoint, consistency_report,
                          finite_difference_slope, perturbation_slope,

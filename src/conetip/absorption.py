@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cap import DiscreteCap, PencilMatrices, assemble_pencil
+from .cap import DiscreteCap, PencilMatrices, _band
 from .errors import DimensionMismatch, PerturbationDegenerate, TrajectoryLost
 from .flux import MandelstamBasis
 from .spectrum import ETA_MIN, RESIDUAL_TOL, LineEigenvalue, _normalize_one
@@ -46,10 +46,11 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
     """Continue one eigenpair through a descending dissipation grid.
 
     At each delta the point is the certified eigenpair of
-    ``A0 + i delta A1 - Lambda (B0 + i delta B1)`` reached by Rayleigh-quotient
-    iteration from the previous pair: shift-and-invert solves on the banded
-    pencil (half-bandwidth = element order), the shift updated to the
-    two-sided Rayleigh quotient until the residual reaches rounding level.
+    ``A0 + i delta A1 - Lambda (B0 + i delta B1)`` (undamped parts from
+    ``le.pencil``, which ``cap`` must match in mode and dof count) reached by
+    Rayleigh-quotient iteration from the previous pair: shift-and-invert
+    solves on the banded pencil (half-bandwidth = element order), the shift
+    updated to the two-sided Rayleigh quotient until rounding level.
     A residual not below ``RESIDUAL_TOL`` or a weight-one overlap with the
     previous vector below 0.9 aborts with ``trajectory-lost``.  The exponent
     branch is continued by proximity (never re-picked from the principal
@@ -59,7 +60,9 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
     deltas = list(delta_grid)
     if any(d <= 0 for d in deltas) or any(np.diff(deltas) >= 0):
         raise DimensionMismatch("delta grid must be positive and descending")
-    base = assemble_pencil(cap)
+    base = le.pencil
+    if cap.mode != le.mode or cap.n_dof != base.n:
+        raise DimensionMismatch("cap does not match the line eigenvalue's pencil")
     m1 = base.mass_one
     v_prev = np.asarray(le.eigenvectors[eigen_index], dtype=complex)
     lam_prev = complex(-0.5, le.eta if branch == PLUS_BRANCH else -le.eta)
@@ -85,16 +88,6 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
                                       overlap=float(ov)))
         v_prev, lam_prev = v, lam
     return points
-
-
-def _band(M: np.ndarray, u: int) -> np.ndarray:
-    """Diagonal-ordered storage of a matrix of half-bandwidth ``u``, as
-    ``scipy.linalg.solve_banded`` takes it."""
-    n = M.shape[0]
-    ab = np.zeros((2 * u + 1, n), dtype=M.dtype)
-    for k in range(-u, u + 1):
-        ab[u - k, max(k, 0):n + min(k, 0)] = np.diagonal(M, k)
-    return ab
 
 
 def _rayleigh_iteration(A, B, u, Lam, v):

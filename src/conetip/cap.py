@@ -104,15 +104,11 @@ class MaterialSpec:
         if self.delta < 0:
             raise InvalidGeometry("delta must be nonnegative")
         if abs(self.kappa + 1.0) < _CONTRAST_GUARD:
-            raise CriticalContrastExcluded("kappa = -1 is excluded")
+            raise CriticalContrastExcluded("kappa=-1 excluded: the spectrum degenerates")
 
     @property
     def kappa(self) -> float:
         return self.sigma_plus / self.sigma_minus
-
-    @property
-    def sign_changing(self) -> bool:
-        return self.sigma_minus < 0
 
     @classmethod
     def from_contrast(cls, kappa: float, sigma_plus: float = 1.0, delta: float = 0.0):
@@ -355,6 +351,16 @@ def _assemble_weighted(cap: DiscreteCap, sigma_values: np.ndarray):
             B[idx, idx] += (sg[k] * wq[k] * c[k]) * mass_k
     ix = np.ix_(cap.dof_map, cap.dof_map)
     return A[ix], B[ix]
+
+
+def _band(M: np.ndarray, u: int) -> np.ndarray:
+    """Diagonal-ordered storage of a matrix of half-bandwidth ``u``, as
+    ``scipy.linalg.solve_banded`` takes it."""
+    n = M.shape[0]
+    ab = np.zeros((2 * u + 1, n), dtype=M.dtype)
+    for k in range(-u, u + 1):
+        ab[u - k, max(k, 0):n + min(k, 0)] = np.diagonal(M, k)
+    return ab
 
 
 def assemble_pencil(cap: DiscreteCap) -> PencilMatrices:

@@ -9,31 +9,26 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
+from dataclasses import replace
 
 from . import absorption, flux, interval
 from .cap import CapGeometry, MaterialSpec, assemble_pencil, build_cap
 from .errors import ConfigError, ConetipError
 from .io import ResultBundle, RunConfig, SUBCOMMANDS, parse_config, write_results
-from .spectrum import (line_eigenvalues, solve_pencil, spectral_weights,
-                       weight_star)
+from .spectrum import (classify_eigenvalue, line_eigenvalues, solve_pencil,
+                       spectral_weights, weight_star)
 
 
 def _geometry(config: RunConfig) -> CapGeometry:
-    g = config.geometry
-    return CapGeometry(kind=g["kind"], alpha=g["alpha"],
-                       alpha_outer=g["alpha_outer"], outer_bc=g["outer_bc"])
+    return CapGeometry(**config.geometry)
 
 
 def _material(config: RunConfig) -> MaterialSpec:
-    m = config.material
-    return MaterialSpec(sigma_plus=m["sigma_plus"], sigma_minus=m["sigma_minus"],
-                        delta=m["delta"])
+    return MaterialSpec(**config.material)
 
 
-def _mode_spectra(config: RunConfig, map_fn):
-    geometry, material = _geometry(config), _material(config)
+def _mode_spectra(config: RunConfig, map_fn, geometry=None):
+    geometry, material = geometry or _geometry(config), _material(config)
     elements, order = config.mesh["elements"], config.mesh["order"]
 
     def solve_mode(m):
@@ -41,13 +36,6 @@ def _mode_spectra(config: RunConfig, map_fn):
             build_cap(geometry, material, m, elements, order)))
 
     return list(map_fn(solve_mode, config.modes))
-
-
-def _classify_eigenvalue(Lam: complex, tol: float) -> str:
-    on_axis = abs(Lam.imag) <= tol * max(1.0, abs(Lam.real))
-    if on_axis and Lam.real < -0.25:
-        return "line"
-    return "real" if on_axis else "complex"
 
 
 def _line_evs(config: RunConfig, map_fn):
@@ -72,7 +60,7 @@ def _run_spectrum(config: RunConfig, map_fn) -> ResultBundle:
         for p, (lp, _) in zip(spec.pairs, spec.lambda_view):
             rows.append((spec.mode, p.Lambda.real, p.Lambda.imag,
                          lp.real, lp.imag,
-                         _classify_eigenvalue(p.Lambda, tol), p.residual))
+                         classify_eigenvalue(p.Lambda, tol), p.residual))
     bundle = ResultBundle(config=config)
     bundle.tables["spectrum"] = (
         ["mode", "re_Lambda", "im_Lambda", "re_lambda", "im_lambda",
@@ -112,15 +100,9 @@ def _run_weights(config: RunConfig, map_fn) -> ResultBundle:
     geometry = _geometry(config)
     if geometry.kind == "boundary":
         # the rim condition is part of the geometry: solve both variants
-        variants = {}
-        for bc in ("dirichlet", "neumann"):
-            g = CapGeometry(kind="boundary", alpha=geometry.alpha,
-                            alpha_outer=geometry.alpha_outer, outer_bc=bc)
-            cfg_specs = [solve_pencil(assemble_pencil(build_cap(
-                g, _material(config), m, config.mesh["elements"],
-                config.mesh["order"]))) for m in config.modes]
-            variants[bc] = spectral_weights(cfg_specs, bc)
-        wd, wn = variants["dirichlet"], variants["neumann"]
+        wd, wn = (spectral_weights(_mode_spectra(
+            config, map_fn, replace(geometry, outer_bc=bc)), bc)
+            for bc in ("dirichlet", "neumann"))
     else:
         specs = _mode_spectra(config, map_fn)
         wd = spectral_weights(specs, "dirichlet")

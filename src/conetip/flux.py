@@ -333,10 +333,6 @@ class MandelstamBasis:
     def n(self) -> int:
         return self.plus_coords.shape[1]
 
-    @property
-    def transform(self) -> np.ndarray:
-        return np.hstack([self.plus_coords, self.minus_coords])
-
 
 def mandelstam_basis(fm: FluxMatrix) -> MandelstamBasis:
     """Diagonalize the Hermitian flux energy within each (mode, eta) block.

@@ -1,4 +1,4 @@
-"""Critical contrast intervals: hypergeometric closed form and empirical scan.
+"""Critical contrast intervals: hypergeometric closed form and dispersion curves.
 
 For an internal circular tip of aperture ``alpha`` the set of contrasts whose
 symbol pencil carries energy-line eigenvalues is an interval with one endpoint
@@ -8,9 +8,9 @@ at -1; the other endpoint is ``-aleph(alpha)`` with
 
 where ``c2 = cos(a/2)^2``, ``s2 = sin(a/2)^2`` and F is Gauss's hypergeometric
 series.  ``aleph`` satisfies ``aleph(a) * aleph(pi - a) = 1`` and equals 1 at
-the half-aperture ``pi/2``.  The scanner detects the same interval from the
-discretized pencils and refines the endpoint by bisection, reporting which
-azimuthal mode attains it.
+the half-aperture ``pi/2``.  :func:`scan_interval` finds the same interval as
+the union of the ranges of the per-mode dispersion curves ``kappa_m(eta)``;
+:func:`has_blackhole` is the independent QZ check of one contrast.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .cap import CapGeometry, MaterialSpec, build_cap, assemble_pencil
-from .errors import (CriticalContrastExcluded, InvalidGeometry, NoTransitionFound,
-                     SeriesDomain, SeriesNonconvergent)
+from .cap import (CapGeometry, MaterialSpec, _assemble_weighted, _band,
+                  assemble_pencil, build_cap)
+from .errors import (CriticalContrastExcluded, DimensionMismatch, InvalidGeometry,
+                     NoTransitionFound, SeriesDomain, SeriesNonconvergent)
 from .spectrum import line_eigenvalues, solve_pencil
 
 SERIES_Z_MAX = 0.99
@@ -87,16 +89,62 @@ def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
     return len(witnesses) > 0, witnesses
 
 
+def _interface_schur(A, B, face, u):
+    """``Lambda -> (S, b)`` of one region, interface dof at position ``face``:
+    ``S = phi^T (A - Lambda B) phi`` and ``b = phi^T B phi`` for ``phi`` the
+    unit interface value extended by one banded solve of the interior rows."""
+    inner = slice(1, None) if face == 0 else slice(0, -1)
+    B_in, a, b = B[inner, inner], A[inner, face], B[inner, face]
+    A_band, B_band = _band(A[inner, inner], u), _band(B_in, u)
+
+    def schur(Lam):
+        k = a - Lam * b
+        x = scipy.linalg.solve_banded((u, u), A_band - Lam * B_band, -k,
+                                      check_finite=False)
+        return (A[face, face] - Lam * B[face, face] + k @ x,
+                B[face, face] + 2.0 * (b @ x) + x @ (B_in @ x))
+
+    return schur
+
+
+def dispersion_relation(geometry: CapGeometry, mode: int, elements: int = 64,
+                        order: int = 2):
+    """Per-mode dispersion relation ``eta -> (kappa_m(eta), krein)``.
+
+    At ``Lambda = -1/4 - eta^2`` the pencil splits by region as
+    ``sigma_minus K_minus + sigma_plus K_plus``, each ``K = A - Lambda B``
+    positive definite on its region.  Eliminating all dofs but the interface
+    one leaves ``kappa_m = -S_minus / S_plus``, the one contrast whose pencil
+    carries ``Lambda``.  ``krein = b_minus + kappa b_plus`` has the sign of
+    ``dkappa/dLambda``, the Krein sign (Gohberg, Lancaster & Rodman, 2005),
+    so it changes sign exactly at a fold, a Jordan point.
+    """
+    cap = build_cap(geometry, MaterialSpec(1.0, 1.0), mode, elements, order)
+    minus = (cap.quad_lat < geometry.interface_latitude).astype(float)
+    p = int(np.searchsorted(cap.dof_map, order * cap.mesh.interface_index))
+    sides = [_interface_schur(*(M[block, block] for M in _assemble_weighted(cap, w)),
+                              face, order)
+             for w, block, face in ((minus, slice(None, p + 1), -1),
+                                    (1.0 - minus, slice(p, None), 0))]
+
+    def relation(eta):
+        (s_minus, b_minus), (s_plus, b_plus) = (side(-0.25 - eta * eta)
+                                                for side in sides)
+        kappa = -s_minus / s_plus
+        return float(kappa), float(b_minus + kappa * b_plus)
+
+    return relation
+
+
 @dataclass(frozen=True)
 class CriticalInterval:
-    """Scanned critical interval with closed-form comparison.
+    """Critical interval with closed-form comparison.
 
-    ``endpoint_inner`` is the detected edge on the -1 side (clamped to the
-    scan range when the interval extends past it), ``endpoint_outer`` the
-    bisected transition away from -1.  ``per_mode`` maps each mode to the
-    eta witnesses observed at the innermost scanned critical point, and
-    ``attaining_mode`` is the mode still critical nearest the outer endpoint
-    (reported as a finding, not asserted).
+    ``endpoint_outer`` / ``endpoint_inner`` are the ends of the union of the
+    dispersion curves' ranges away from and toward -1 (the latter clamped to
+    the scan range), ``attaining_mode`` the mode reaching ``endpoint_outer``,
+    ``per_mode`` the :func:`has_blackhole` witnesses at ``endpoint_inner``
+    and ``grid`` the eta samples.
     """
 
     alpha: float
@@ -114,14 +162,16 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
                   grid: int = 24, bisect_tol: float = 1e-3,
                   modes=DEFAULT_MODES, elements: int = 64, order: int = 2,
                   map_fn=map) -> CriticalInterval:
-    """Grid scan of :func:`has_blackhole` over a contrast range, with the
-    transition refined by bisection.
+    """Critical interval as the union of the ranges of the dispersion curves
+    ``kappa_m(eta)``, ``eta >= 0`` (see :func:`dispersion_relation`).
 
-    The range must stay clear of the excluded contrast -1 (guard 0.02).
-    Non-monotone detection patterns (isolated holes at grid resolution) are
-    reported in ``flags`` rather than asserted away.  ``map_fn`` lets callers
-    evaluate the independent grid points concurrently; the merge is ordered,
-    so the result does not depend on the mapper.
+    Each curve is sampled at ``eta_k = (elements/pi) (k/(grid-1))^2``, i.e.
+    up to mesh width times eta of about 1.  Its far end from -1 (``eta = 0``
+    in mode 0, a fold in modes >= 1) is refined by bisecting the bracket of
+    the extreme sample on the Krein sign down to ``bisect_tol`` in eta.  The
+    range must avoid the 0.02 neighborhood of -1 and contain the far end
+    (else ``no-transition-found``).  ``map_fn`` may evaluate the modes
+    concurrently; the merge is ordered.
     """
     lo, hi = sorted(kappa_range)
     if lo >= 0 or hi >= 0:
@@ -130,58 +180,45 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
             or (lo < -1.0 < hi):
         raise CriticalContrastExcluded(
             f"range must avoid the {CONTRAST_NEIGHBORHOOD_GUARD} neighborhood of -1")
-    kappas = np.linspace(lo, hi, grid)
-    point = lambda k: (float(k), *has_blackhole(geometry, k, modes, elements,
-                                                order, stop_at_first=True))
-    results = list(map_fn(point, kappas))
-    inside = [r for r in results if r[1]]
-    if not inside or all(r[1] for r in results):
+    if grid < 1 or not bisect_tol > 0:
+        raise DimensionMismatch("need grid >= 1 eta samples and bisect_tol > 0")
+    # curves are compared in the coordinate far * kappa, growing away from -1
+    far = 1.0 if lo > -1.0 else -1.0
+    etas = elements / np.pi * np.linspace(0.0, 1.0, grid) ** 2
+
+    def curve_range(m):
+        relation = dispersion_relation(geometry, m, elements, order)
+        ys = [far * relation(eta)[0] for eta in etas]
+        k = int(np.argmax(ys))
+        a, b = etas[max(k - 1, 0)], etas[min(k + 1, grid - 1)]
+        outer = ys[k]
+        while b - a > bisect_tol:
+            mid = 0.5 * (a + b)
+            kappa, krein = relation(mid)
+            outer = max(outer, far * kappa)
+            if far * krein < 0:   # still moving away from -1 as eta grows
+                a = mid
+            else:
+                b = mid
+        return outer, min(ys)
+
+    ranges = list(map_fn(curve_range, modes))
+    attaining, (y_outer, _) = max(zip(modes, ranges), key=lambda mr: mr[1][0])
+    endpoint_outer = far * y_outer
+    if not lo < endpoint_outer < hi:
         raise NoTransitionFound("no criticality transition inside the range")
+    endpoint_inner = float(np.clip(far * min(r[1] for r in ranges), lo, hi))
 
-    flags = []
-    flags_pattern = "".join("1" if r[1] else "0" for r in results)
-    if "01" in flags_pattern and "10" in flags_pattern:
-        flags.append(f"non-monotone detection pattern {flags_pattern}")
-
-    # the -1 side: innermost critical point (toward -1), clamp at range edge
-    minus_one_side = min if abs(lo + 1.0) < abs(hi + 1.0) else max
-    inner_kappa = minus_one_side(r[0] for r in inside)
-    outer_kappa = (max if minus_one_side is min else min)(r[0] for r in inside)
-
-    # bisect between the outermost critical point and its first non-critical
-    # neighbor
-    step = (hi - lo) / (grid - 1)
-    direction = 1.0 if minus_one_side is min else -1.0
-    a, b = outer_kappa, outer_kappa + direction * step
-    while abs(b - a) > bisect_tol:
-        mid = 0.5 * (a + b)
-        flag, _ = has_blackhole(geometry, mid, modes, elements, order,
-                                stop_at_first=True)
-        if flag:
-            a = mid
-        else:
-            b = mid
-    endpoint_outer = 0.5 * (a + b)
-
-    # full witness censuses at the innermost critical point and at the last
-    # critical point of the bisection
-    per_mode = {}
-    _, inner_wit = has_blackhole(geometry, inner_kappa, modes, elements, order)
-    for m in modes:
-        per_mode[m] = sorted(eta for (mm, eta) in inner_wit if mm == m)
-    flag, wit = has_blackhole(geometry, a, modes, elements, order)
-    attaining = min((m for (m, _) in wit), default=-1)
-
-    if geometry.kind == "internal":
-        closed = -aleph(geometry.alpha)
-    else:
-        # no closed form for caps touching the boundary
-        closed = float("nan")
-        flags.append("closed form available for internal tips only")
+    _, inner_wit = has_blackhole(geometry, endpoint_inner, modes, elements, order)
+    per_mode = {m: sorted(eta for (mm, eta) in inner_wit if mm == m) for m in modes}
+    # no closed form for caps touching the boundary
+    internal = geometry.kind == "internal"
+    closed = -aleph(geometry.alpha) if internal else float("nan")
+    flags = () if internal else ("closed form available for internal tips only",)
     return CriticalInterval(alpha=geometry.alpha,
-                            endpoint_inner=float(inner_kappa),
+                            endpoint_inner=endpoint_inner,
                             endpoint_outer=float(endpoint_outer),
                             closed_form=float(closed),
                             per_mode=per_mode, attaining_mode=attaining,
-                            grid=tuple(kappas.tolist()), flags=tuple(flags),
+                            grid=tuple(etas.tolist()), flags=flags,
                             bisect_tol=bisect_tol)

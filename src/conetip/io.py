@@ -12,10 +12,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field, asdict
 
-import numpy as np
-
 from . import __version__
-from .errors import ConfigError
+from .cap import CapGeometry, MaterialSpec
+from .errors import ConetipError, ConfigError
 
 SUBCOMMANDS = ("spectrum", "interval", "aleph", "basis", "trajectory",
                "blowup", "weights")
@@ -58,12 +57,21 @@ def _check_keys(block: dict, allowed: set, where: str):
                           "(strict mode rejects unrecognized keys)")
 
 
+def _build(factory, *args):
+    """Construct a domain object; its guard failures become config errors."""
+    try:
+        return factory(*args)
+    except ConetipError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config.
 
-    Guards of the numerical modules are re-validated here so a bad run fails
-    before any work: the contrast -1 is excluded, exactly one of
-    ``sigma_minus`` / ``kappa`` may be given, apertures must be proper.
+    Geometry and material are validated by the guards of
+    :class:`~conetip.cap.CapGeometry` / :class:`~conetip.cap.MaterialSpec`
+    (contrast -1 excluded, proper apertures), so a bad run fails before any
+    work; exactly one of ``sigma_minus`` / ``kappa`` may be given.
     """
     try:
         raw = json.loads(text)
@@ -79,58 +87,29 @@ def parse_config(text: str) -> RunConfig:
 
     geo = dict(raw.get("geometry") or {})
     _check_keys(geo, _GEOMETRY_KEYS, "geometry")
-    geo.setdefault("kind", "internal")
     if "alpha" not in geo:
         raise ConfigError("geometry.alpha is required")
-    alpha = float(geo["alpha"])
-    if not 0.0 < alpha < np.pi:
-        raise ConfigError(f"geometry.alpha={alpha} outside (0, pi)")
-    if geo["kind"] == "internal":
-        geometry = {"kind": "internal", "alpha": alpha,
-                    "alpha_outer": None, "outer_bc": None}
-    elif geo["kind"] == "boundary":
-        if "alpha_outer" not in geo or "outer_bc" not in geo:
-            raise ConfigError("boundary geometry needs alpha_outer and outer_bc")
-        ao = float(geo["alpha_outer"])
-        if not alpha < ao <= np.pi:
-            raise ConfigError("need alpha < alpha_outer <= pi")
-        if geo["outer_bc"] not in ("dirichlet", "neumann"):
-            raise ConfigError("outer_bc must be dirichlet or neumann")
-        geometry = {"kind": "boundary", "alpha": alpha, "alpha_outer": ao,
-                    "outer_bc": geo["outer_bc"]}
-    else:
-        raise ConfigError(f"unknown geometry kind {geo['kind']!r}")
+    kind = geo.get("kind", "internal")
+    rim = {} if kind == "internal" else geo   # an internal tip ignores rim data
+    ao = rim.get("alpha_outer")
+    geometry = _build(CapGeometry, kind, float(geo["alpha"]),
+                      None if ao is None else float(ao), rim.get("outer_bc"))
 
     material = None
     if "material" in raw and raw["material"] is not None:
         mat = dict(raw["material"])
         _check_keys(mat, _MATERIAL_KEYS, "material")
-        has_sm = "sigma_minus" in mat
-        has_k = "kappa" in mat
-        if has_sm == has_k:
+        if ("sigma_minus" in mat) == ("kappa" in mat):
             raise ConfigError("give exactly one of material.sigma_minus and "
                               "material.kappa")
         sigma_plus = float(mat.get("sigma_plus", 1.0))
-        if sigma_plus <= 0:
-            raise ConfigError("sigma_plus must be positive")
         delta = float(mat.get("delta", 0.0))
-        if delta < 0:
-            raise ConfigError("delta must be nonnegative")
-        if has_k:
-            kappa = float(mat["kappa"])
-            if kappa == 0:
-                raise ConfigError("kappa must be nonzero")
-            sigma_minus = sigma_plus / kappa
+        if "kappa" in mat:
+            spec = _build(MaterialSpec.from_contrast, float(mat["kappa"]),
+                          sigma_plus, delta)
         else:
-            sigma_minus = float(mat["sigma_minus"])
-            if sigma_minus == 0:
-                raise ConfigError("sigma_minus must be nonzero")
-            kappa = sigma_plus / sigma_minus
-        if abs(kappa + 1.0) < 1e-10:
-            raise ConfigError("kappa=-1 excluded: the pencil spectrum "
-                              "degenerates at contrast -1")
-        material = {"sigma_plus": sigma_plus, "sigma_minus": sigma_minus,
-                    "delta": delta}
+            spec = _build(MaterialSpec, sigma_plus, float(mat["sigma_minus"]), delta)
+        material = asdict(spec)
     elif sub != "aleph":
         raise ConfigError(f"subcommand {sub!r} requires a material block")
 
@@ -169,7 +148,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("output.formats entries must be csv or json")
     out = {"directory": out.get("directory", "conetip-out"), "formats": formats}
 
-    return RunConfig(subcommand=sub, geometry=geometry, material=material,
+    return RunConfig(subcommand=sub, geometry=asdict(geometry), material=material,
                      modes=tuple(int(m) for m in modes), mesh=mesh,
                      sweep=sweep, output=out)
 

@@ -167,20 +167,26 @@ def _bilinear_gram(vectors, B):
     return G
 
 
+def classify_eigenvalue(Lambda: complex, tol: float = LINE_TOL) -> str:
+    """``"line"`` for an eigenvalue on the energy line (on the real axis,
+    ``|Im Lambda| <= tol * max(1, |Re Lambda|)``, with ``Re Lambda < -1/4``),
+    ``"real"`` for the rest of the real axis, else ``"complex"``."""
+    if abs(Lambda.imag) > tol * max(1.0, abs(Lambda.real)):
+        return "complex"
+    return "line" if Lambda.real < -0.25 else "real"
+
+
 def line_eigenvalues(spec: SpectrumResult, tol: float = LINE_TOL,
                      eta_min: float = ETA_MIN) -> list:
     """Extract eigenvalues on the energy line.
 
-    An eigenvalue qualifies when ``|Im Lambda| <= tol * max(1, |Re Lambda|)``
-    and ``Re Lambda < -1/4``.  Discrete eigenvalues closer than the same
-    relative tolerance are clustered into one LineEigenvalue whose geometric
-    multiplicity is the cluster size.  Clusters with ``eta < eta_min`` are
+    An eigenvalue qualifies when :func:`classify_eigenvalue` calls it
+    ``"line"``.  Eigenvalues closer than ``tol`` (relative) are clustered
+    into one LineEigenvalue whose geometric multiplicity is the cluster size.  Clusters with ``eta < eta_min`` are
     returned flagged ``near_quarter`` (the double root ``lambda = -1/2`` is
     special-cased out of basis construction downstream).
     """
-    cands = [p for p in spec.pairs
-             if abs(p.Lambda.imag) <= tol * max(1.0, abs(p.Lambda.real))
-             and p.Lambda.real < -0.25]
+    cands = [p for p in spec.pairs if classify_eigenvalue(p.Lambda, tol) == "line"]
     cands.sort(key=lambda p: p.Lambda.real)
     clusters = []
     for p in cands:

@@ -177,6 +177,11 @@ def test_trajectory_guards(tracked):
         ct.trajectory(cap, le, [1e-6, 1e-3])
     with pytest.raises(DimensionMismatch):
         ct.finite_difference_slope([])
+    # the cap must match the pencil the line eigenvalue was found on
+    for other in (ct.build_cap(cap.geometry, cap.material, 1, 64, 2),
+                  ct.build_cap(cap.geometry, cap.material, 0, 48, 2)):
+        with pytest.raises(DimensionMismatch):
+            ct.trajectory(other, le, DELTAS)
 
 
 def test_perturbation_degenerate_guard():

@@ -117,6 +117,21 @@ def test_interval_json_contract(tmp_path):
     assert abs(doc["endpoint_detected"] - doc["endpoint_closed_form"]) < 0.05
 
 
+def test_interval_threads_byte_identical(tmp_path):
+    cfg = parse_config(json.dumps({
+        "subcommand": "interval",
+        "geometry": {"kind": "internal", "alpha": np.pi / 4},
+        "material": {"kappa": -0.5},
+        "modes": [0, 1, 2],
+        "mesh": {"elements": 32, "order": 2}}))
+    outs = []
+    for name, threads in (("a", 1), ("b", 3)):
+        d = tmp_path / name
+        write_results(run_command(cfg, threads=threads), d)
+        outs.append((d / "interval.json").read_bytes() + (d / "meta.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_trajectory_csv_contract(tmp_path):
     cfg = parse_config(json.dumps({
         "subcommand": "trajectory",

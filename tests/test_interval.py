@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import conetip as ct
-from conetip.errors import (CriticalContrastExcluded, InvalidGeometry,
-                            NoTransitionFound, SeriesDomain)
+from conetip.errors import (CriticalContrastExcluded, DimensionMismatch,
+                            InvalidGeometry, NoTransitionFound, SeriesDomain)
 
 
 def test_hyp2f1_at_zero():
@@ -74,8 +74,8 @@ def test_scan_interval_quarter(quarter_tip):
     assert_allclose(ci.closed_form, target, rtol=1e-12)
     assert abs(ci.endpoint_outer - target) / abs(target) < 0.02
     assert ci.attaining_mode == 0
-    # detected interval contains every critical grid point, excludes the rest
-    for k in ci.grid:
+    # detected interval contains every critical contrast, excludes the rest
+    for k in np.linspace(-0.6, -0.05, 12):
         flag, _ = ct.has_blackhole(quarter_tip, k, modes=(0, 1, 2), elements=64,
                                    stop_at_first=True)
         between = min(ci.endpoint_inner, ci.endpoint_outer) - 1e-9 <= k \
@@ -91,6 +91,9 @@ def test_scan_interval_guards(quarter_tip):
     with pytest.raises(NoTransitionFound):
         ct.scan_interval(quarter_tip, kappa_range=(-0.12, -0.05), grid=5,
                          modes=(0,), elements=48)
+    for bad in ({"grid": 0}, {"bisect_tol": 0.0}, {"bisect_tol": -1e-3}):
+        with pytest.raises(DimensionMismatch):
+            ct.scan_interval(quarter_tip, modes=(0,), elements=48, **bad)
 
 
 def test_scan_interval_wide_aperture():
@@ -112,3 +115,63 @@ def test_line_count_grows_toward_minus_one(quarter_tip):
         counts.append(len(wit))
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     assert counts[-1] > counts[0]
+
+
+def test_dispersion_against_conical_legendre(quarter_tip):
+    # independent oracle: the continuum mode-0 relation is the transmission
+    # matching of conical Legendre functions (as in
+    # test_line_eigenvalue_against_conical_dispersion), which gives the
+    # reciprocal ratio sigma_minus / sigma_plus = 1 / kappa
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 25
+    relation = ct.dispersion_relation(quarter_tip, 0, 64)
+    x0 = mp.sin(-mp.pi / 2 + mp.pi / 4)
+    for eta in (0.3, 1.0, 2.5):
+        nu = mp.mpf(-0.5) + 1j * mp.mpf(eta)
+        P = lambda x: mp.legenp(nu, 0, x)
+        dP = lambda x: mp.diff(P, x)
+        ratio = complex(-(P(-x0) * dP(x0)) / (P(x0) * dP(-x0)))
+        assert abs(ratio.imag) < 1e-12
+        kappa, _ = relation(eta)
+        assert abs(kappa * ratio.real - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("geometry, mode", [
+    (ct.CapGeometry("internal", np.pi / 4), 1),
+    (ct.CapGeometry("boundary", np.pi / 4, 3 * np.pi / 4, "dirichlet"), 0),
+    (ct.CapGeometry("boundary", np.pi / 4, 3 * np.pi / 4, "neumann"), 0),
+])
+def test_dispersion_against_qz(geometry, mode):
+    # the dense QZ spectrum at kappa = kappa_m(eta) carries Lambda = -1/4 - eta^2
+    relation = ct.dispersion_relation(geometry, mode, 64)
+    for eta in (0.5, 2.0):
+        kappa, _ = relation(eta)
+        spec = ct.solve_pencil(ct.pencil_for(
+            geometry, ct.MaterialSpec.from_contrast(kappa), mode, 64, 2))
+        Lam = -0.25 - eta * eta
+        assert np.min(np.abs(spec.Lambdas - Lam)) < 1e-9 * abs(Lam)
+
+
+def test_scan_interval_fold(quarter_tip):
+    # mode 1 alone: its far end is an interior fold of kappa_1(eta), where
+    # two line eigenvalues collide into a Jordan point (between -0.79 and
+    # -0.78, see test_jordan_contrast_bisection)
+    ci = ct.scan_interval(quarter_tip, kappa_range=(-0.95, -0.5), modes=(1,),
+                          elements=96)
+    assert ci.attaining_mode == 1 and ci.flags == ()
+    assert -0.79 < ci.endpoint_outer < -0.78
+    probe = lambda k: ct.has_blackhole(quarter_tip, k, modes=(1,),
+                                       elements=96)[0]
+    assert probe(ci.endpoint_outer - 1e-6)
+    assert not probe(ci.endpoint_outer + 1e-6)
+
+
+@pytest.mark.parametrize("order, expected", [(1, 2.0), (2, 4.0)])
+def test_endpoint_observed_order(quarter_tip, order, expected):
+    # kappa_0(0) is the discrete endpoint; its error against aleph converges
+    # at the optimal rate h^(2 order)
+    target = -ct.aleph(np.pi / 4)
+    errs = [abs(ct.dispersion_relation(quarter_tip, 0, N, order)(0.0)[0] - target)
+            for N in (16, 32, 64)]
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert orders.min() >= expected - 0.5
