@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cap import DiscreteCap, PencilMatrices, _band
+from .cap import DiscreteCap, PencilMatrices, _band, _dissipated
 from .errors import DimensionMismatch, PerturbationDegenerate, TrajectoryLost
 from .flux import MandelstamBasis
 from .spectrum import ETA_MIN, RESIDUAL_TOL, LineEigenvalue, _normalize_one
@@ -45,10 +45,11 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
                branch: str = PLUS_BRANCH, eigen_index: int = 0) -> list:
     """Continue one eigenpair through a descending dissipation grid.
 
-    At each delta the point is the certified eigenpair of
-    ``A0 + i delta A1 - Lambda (B0 + i delta B1)`` (undamped parts from
+    At ``delta = 0`` and each grid delta the point is the certified eigenpair
+    of ``A0 + i delta A1 - Lambda (B0 + i delta B1)`` (undamped parts from
     ``le.pencil``, which ``cap`` must match in mode and dof count) reached by
-    Rayleigh-quotient iteration from the previous pair: shift-and-invert
+    Rayleigh-quotient iteration from the previous pair (from ``le`` at
+    ``delta = 0``): shift-and-invert
     solves on the banded pencil (half-bandwidth = element order), the shift
     updated to the two-sided Rayleigh quotient until rounding level.
     A residual not below ``RESIDUAL_TOL`` or a weight-one overlap with the
@@ -65,14 +66,13 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
         raise DimensionMismatch("cap does not match the line eigenvalue's pencil")
     m1 = base.mass_one
     v_prev = np.asarray(le.eigenvectors[eigen_index], dtype=complex)
+    Lam_prev = complex(le.Lambda)
     lam_prev = complex(-0.5, le.eta if branch == PLUS_BRANCH else -le.eta)
-    points = [TrajectoryPoint(delta=0.0, Lambda=complex(le.Lambda),
-                              lam=lam_prev, vector=v_prev, overlap=1.0)]
-    for d in deltas:
-        A = base.A + 1j * d * base.stiffness_one
-        B = base.B + 1j * d * m1
-        Lam, v, res = _rayleigh_iteration(A, B, cap.mesh.element_order,
-                                          points[-1].Lambda, v_prev)
+    points = []
+    for d in (0.0, *deltas):
+        P = _dissipated(base, d)
+        Lam, v, res = _rayleigh_iteration(P.A, P.B, cap.mesh.element_order,
+                                          Lam_prev, v_prev)
         if not res < RESIDUAL_TOL:
             raise TrajectoryLost(f"no certified eigenpair at delta={d:g} "
                                  f"(residual {res:.2e})")
@@ -86,7 +86,7 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
         points.append(TrajectoryPoint(delta=float(d), Lambda=Lam,
                                       lam=complex(lam), vector=v,
                                       overlap=float(ov)))
-        v_prev, lam_prev = v, lam
+        v_prev, Lam_prev, lam_prev = v, Lam, lam
     return points
 
 

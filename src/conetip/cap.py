@@ -25,7 +25,8 @@ reciprocal ratio ``sigma_minus / sigma_plus`` flips it to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -144,6 +145,12 @@ class Mesh1D:
     def n_dof_full(self) -> int:
         return self.element_order * self.n_elements + 1
 
+    @property
+    def element_dofs(self) -> np.ndarray:
+        """Full dof indices of each element's shapes, one row per element."""
+        p = self.element_order
+        return p * np.arange(self.n_elements)[:, None] + np.arange(p + 1)
+
 
 def _build_mesh(geometry: CapGeometry, elements: int, order: int) -> Mesh1D:
     lo, hi = -np.pi / 2, geometry.latitude_max
@@ -156,6 +163,7 @@ def _build_mesh(geometry: CapGeometry, elements: int, order: int) -> Mesh1D:
     return Mesh1D(nodes=nodes, element_order=order, interface_index=n_below)
 
 
+@cache
 def _reference_shapes(order: int):
     # values/derivatives of Lagrange shapes at the 4 Gauss points of [-1, 1]
     x, w = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
@@ -165,6 +173,8 @@ def _reference_shapes(order: int):
     else:
         n = np.stack([x * (x - 1) / 2, 1 - x * x, x * (x + 1) / 2])
         d = np.stack([x - 0.5, -2 * x, x + 0.5])
+    for a in (x, w, n, d):
+        a.setflags(write=False)
     return x, w, n, d
 
 
@@ -187,11 +197,9 @@ class DiscreteCap:
     quad_lat: np.ndarray = field(repr=False)
     quad_weight: np.ndarray = field(repr=False)
     quad_sigma: np.ndarray = field(repr=False)
-    eval_matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.dof_map, self.quad_lat, self.quad_weight,
-                  self.quad_sigma, self.eval_matrix):
+        for a in (self.dof_map, self.quad_lat, self.quad_weight, self.quad_sigma):
             a.setflags(write=False)
 
     @property
@@ -223,40 +231,34 @@ def build_cap(geometry: CapGeometry, material: MaterialSpec, mode: int,
         raise InvalidGeometry("need at least 4 elements")
     mesh = _build_mesh(geometry, elements, order)
 
-    n_full = mesh.n_dof_full
-    eliminated = set()
+    keep = np.ones(mesh.n_dof_full, dtype=bool)
     has_north_pole = geometry.kind == INTERNAL or (
         geometry.kind == BOUNDARY and geometry.alpha_outer >= np.pi - 1e-14)
     if mode >= 1:
-        eliminated.add(0)
+        keep[0] = False
         if has_north_pole:
-            eliminated.add(n_full - 1)
+            keep[-1] = False
     if geometry.kind == BOUNDARY and geometry.outer_bc == DIRICHLET:
-        eliminated.add(n_full - 1)
-    dof_map = np.array([i for i in range(n_full) if i not in eliminated], dtype=int)
+        keep[-1] = False
 
-    xg, wg, shape_n, _ = _reference_shapes(order)
-    n_elem = mesh.n_elements
-    lat = np.empty(n_elem * _GAUSS_POINTS)
-    wq = np.empty_like(lat)
-    sig = np.empty(n_elem * _GAUSS_POINTS, dtype=complex)
-    emat = np.zeros((n_elem * _GAUSS_POINTS, n_full))
-    s_minus = material.sigma_minus + 1j * material.delta
-    s_plus = material.sigma_plus + 1j * material.delta
-    for e in range(n_elem):
-        a, b = mesh.nodes[e], mesh.nodes[e + 1]
-        h = b - a
-        rows = slice(e * _GAUSS_POINTS, (e + 1) * _GAUSS_POINTS)
-        lat[rows] = (a + b) / 2 + h / 2 * xg
-        wq[rows] = h / 2 * wg
-        sig[rows] = s_minus if e < mesh.interface_index else s_plus
-        cols = [order * e + k for k in range(order + 1)]
-        emat[rows, cols[0]:cols[-1] + 1] = shape_n.T
-    if material.delta == 0:
-        sig = sig.real
+    xg, wg, _, _ = _reference_shapes(order)
+    a, b = mesh.nodes[:-1, None], mesh.nodes[1:, None]
+    h = b - a
+    below = np.arange(mesh.n_elements) < mesh.interface_index
+    sig = np.repeat(np.where(below, material.sigma_minus + 1j * material.delta,
+                             material.sigma_plus + 1j * material.delta), _GAUSS_POINTS)
     return DiscreteCap(geometry=geometry, material=material, mode=mode, mesh=mesh,
-                       dof_map=dof_map, quad_lat=lat, quad_weight=wq,
-                       quad_sigma=sig, eval_matrix=emat)
+                       dof_map=np.flatnonzero(keep),
+                       quad_lat=((a + b) / 2 + h / 2 * xg).ravel(),
+                       quad_weight=(h / 2 * wg).ravel(),
+                       quad_sigma=sig if material.delta else sig.real)
+
+
+def _at_gauss_points(cap: DiscreteCap, reduced: np.ndarray) -> np.ndarray:
+    """Values of the finite-element function with retained dofs ``reduced``
+    at the quadrature points, in the order of ``cap.quad_lat``."""
+    _, _, shape_n, _ = _reference_shapes(cap.mesh.element_order)
+    return (cap.expand(reduced)[cap.mesh.element_dofs] @ shape_n).ravel()
 
 
 def sigma_at(cap: DiscreteCap, latitude: float, side: str | None = None):
@@ -286,8 +288,7 @@ def angular_gram(cap: DiscreteCap, f: np.ndarray, g: np.ndarray,
     quadrature on the cap's mesh."""
     if len(f) != cap.n_dof or len(g) != cap.n_dof:
         raise DimensionMismatch("dof vectors do not conform to the cap")
-    fv = cap.eval_matrix @ cap.expand(f)
-    gv = cap.eval_matrix @ cap.expand(g)
+    fv, gv = _at_gauss_points(cap, f), _at_gauss_points(cap, g)
     w = cap.quad_weight * np.cos(cap.quad_lat)
     if weight == "sigma":
         w = w * cap.quad_sigma
@@ -322,35 +323,36 @@ class PencilMatrices:
         return self.A.shape[0]
 
 
-def _assemble_weighted(cap: DiscreteCap, sigma_values: np.ndarray):
-    """Assemble (stiffness, mass) for an arbitrary per-quad-point weight."""
+def _region_blocks(cap: DiscreteCap):
+    """Coefficient-free region matrices ``((A_minus, B_minus), (A_plus, B_plus))``
+    on the retained dofs: the pencil of the coefficient 1 on one side of the
+    interface and 0 on the other, so ``A = s_minus A_minus + s_plus A_plus``
+    (likewise B).  Each entry sums products symmetric in the shape pair and is
+    scattered in element order, so every block is exactly symmetric."""
     mesh = cap.mesh
-    order = mesh.element_order
-    _, _, shape_n, shape_d = _reference_shapes(order)
-    n_full = mesh.n_dof_full
-    dtype = np.result_type(sigma_values, float)
-    A = np.zeros((n_full, n_full), dtype=dtype)
-    B = np.zeros((n_full, n_full), dtype=dtype)
-    m2 = float(cap.mode * cap.mode)
-    for e in range(mesh.n_elements):
-        a, b = mesh.nodes[e], mesh.nodes[e + 1]
-        h = b - a
-        rows = slice(e * _GAUSS_POINTS, (e + 1) * _GAUSS_POINTS)
-        lat = cap.quad_lat[rows]
-        wq = cap.quad_weight[rows]
-        sg = sigma_values[rows]
-        c = np.cos(lat)
-        dN = shape_d * (2 / h)
-        idx = slice(order * e, order * e + order + 1)
-        for k in range(_GAUSS_POINTS):
-            mass_k = np.outer(shape_n[:, k], shape_n[:, k])
-            stiff_k = np.outer(dN[:, k], dN[:, k]) * c[k]
-            if m2:
-                stiff_k = stiff_k + (m2 / c[k]) * mass_k
-            A[idx, idx] += (sg[k] * wq[k]) * stiff_k
-            B[idx, idx] += (sg[k] * wq[k] * c[k]) * mass_k
+    _, _, shape_n, shape_d = _reference_shapes(mesh.element_order)
+    wq = cap.quad_weight.reshape(mesh.n_elements, _GAUSS_POINTS)
+    c = np.cos(cap.quad_lat.reshape(wq.shape))
+    jac2 = (2 / np.diff(mesh.nodes)) ** 2
+    nn_k = shape_n[:, None] * shape_n[None]      # (shape, shape, Gauss point)
+    dd_k = shape_d[:, None] * shape_d[None]
+    stiff = (dd_k * (jac2[:, None] * wq * c)[:, None, None]
+             + nn_k * (cap.mode ** 2 * wq / c)[:, None, None]).sum(axis=-1)
+    mass = (nn_k * (wq * c)[:, None, None]).sum(axis=-1)
+
+    n, k, dofs = mesh.n_dof_full, mesh.interface_index, mesh.element_dofs
+    flat = (n * dofs[:, :, None] + dofs[:, None, :]).reshape(mesh.n_elements, -1)
     ix = np.ix_(cap.dof_map, cap.dof_map)
-    return A[ix], B[ix]
+    return tuple(tuple(np.bincount(flat[side].ravel(), M[side].ravel(), n * n)
+                       .reshape(n, n)[ix] for M in (stiff, mass))
+                 for side in (slice(None, k), slice(k, None)))
+
+
+def _dissipated(P: PencilMatrices, delta: float) -> PencilMatrices:
+    """The undamped pencil ``P`` with ``i*delta`` added to the coefficient:
+    ``A0 + i delta A1``, ``B0 + i delta B1``."""
+    return replace(P, A=P.A + 1j * delta * P.stiffness_one,
+                   B=P.B + 1j * delta * P.mass_one, delta=delta)
 
 
 def _band(M: np.ndarray, u: int) -> np.ndarray:
@@ -365,10 +367,13 @@ def _band(M: np.ndarray, u: int) -> np.ndarray:
 
 def assemble_pencil(cap: DiscreteCap) -> PencilMatrices:
     """Assemble the pencil of the cap's material (including its dissipation)."""
-    A, B = _assemble_weighted(cap, cap.quad_sigma)
-    A1, B1 = _assemble_weighted(cap, np.ones_like(cap.quad_lat))
-    return PencilMatrices(A=A, B=B, stiffness_one=A1, mass_one=B1, cap=cap,
-                          delta=cap.material.delta)
+    (A_minus, B_minus), (A_plus, B_plus) = _region_blocks(cap)
+    s_minus, s_plus = (sigma_at(cap, cap.geometry.interface_latitude, side)
+                       for side in ("minus", "plus"))
+    return PencilMatrices(A=s_minus * A_minus + s_plus * A_plus,
+                          B=s_minus * B_minus + s_plus * B_plus,
+                          stiffness_one=A_minus + A_plus, mass_one=B_minus + B_plus,
+                          cap=cap, delta=cap.material.delta)
 
 
 def assemble_dissipative_pencil(cap: DiscreteCap, delta: float) -> PencilMatrices:
@@ -378,11 +383,7 @@ def assemble_dissipative_pencil(cap: DiscreteCap, delta: float) -> PencilMatrice
         raise InvalidGeometry("delta must be positive")
     if cap.material.delta != 0:
         raise InvalidGeometry("base cap must be undamped")
-    base = assemble_pencil(cap)
-    A = base.A + 1j * delta * base.stiffness_one
-    B = base.B + 1j * delta * base.mass_one
-    return PencilMatrices(A=A, B=B, stiffness_one=base.stiffness_one,
-                          mass_one=base.mass_one, cap=cap, delta=delta)
+    return _dissipated(assemble_pencil(cap), delta)
 
 
 def pencil_for(geometry: CapGeometry, material: MaterialSpec, mode: int,

@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .cap import PencilMatrices
+from .cap import PencilMatrices, _at_gauss_points
 from .errors import (DimensionMismatch, FluxLimitNonexistent,
                      NearQuarterDegenerate, OddDimensionInternalError,
                      SignatureMismatch)
@@ -248,10 +248,8 @@ def flux_quadrature_oracle(u: Hypersingularity, v: Hypersingularity,
         plain = h.poly.plain()
         val = sum(c * L ** p for p, c in enumerate(plain))
         dlog = sum(p * c * L ** (p - 1) for p, c in enumerate(plain) if p >= 1)
-        vv = cap.eval_matrix @ cap.expand(val)
-        dv = cap.eval_matrix @ cap.expand(
-            h.lam * val + (dlog if np.ndim(dlog) else np.zeros_like(val)))
-        return (radius ** h.lam) * vv, (radius ** (h.lam - 1)) * dv
+        return (radius ** h.lam * _at_gauss_points(cap, val),
+                radius ** (h.lam - 1) * _at_gauss_points(cap, h.lam * val + dlog))
 
     uv, du = values(u)
     vv, dv = values(v)

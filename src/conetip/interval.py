@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cap import (CapGeometry, MaterialSpec, _assemble_weighted, _band,
+from .cap import (CapGeometry, MaterialSpec, _band, _region_blocks,
                   assemble_pencil, build_cap)
 from .errors import (CriticalContrastExcluded, DimensionMismatch, InvalidGeometry,
                      NoTransitionFound, SeriesDomain, SeriesNonconvergent)
@@ -119,13 +119,13 @@ def dispersion_relation(geometry: CapGeometry, mode: int, elements: int = 64,
     ``dkappa/dLambda``, the Krein sign (Gohberg, Lancaster & Rodman, 2005),
     so it changes sign exactly at a fold, a Jordan point.
     """
+    # the region blocks do not depend on the cap's coefficient
     cap = build_cap(geometry, MaterialSpec(1.0, 1.0), mode, elements, order)
-    minus = (cap.quad_lat < geometry.interface_latitude).astype(float)
     p = int(np.searchsorted(cap.dof_map, order * cap.mesh.interface_index))
-    sides = [_interface_schur(*(M[block, block] for M in _assemble_weighted(cap, w)),
-                              face, order)
-             for w, block, face in ((minus, slice(None, p + 1), -1),
-                                    (1.0 - minus, slice(p, None), 0))]
+    sides = [_interface_schur(*(M[block, block] for M in region), face, order)
+             for region, block, face in zip(_region_blocks(cap),
+                                            (slice(None, p + 1), slice(p, None)),
+                                            (-1, 0))]
 
     def relation(eta):
         (s_minus, b_minus), (s_plus, b_plus) = (side(-0.25 - eta * eta)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 from . import __version__
@@ -21,9 +22,12 @@ SUBCOMMANDS = ("spectrum", "interval", "aleph", "basis", "trajectory",
 
 _GEOMETRY_KEYS = {"kind", "alpha", "alpha_outer", "outer_bc"}
 _MATERIAL_KEYS = {"sigma_plus", "sigma_minus", "kappa", "delta"}
-_MESH_KEYS = {"elements", "order"}
-_SWEEP_KEYS = {"kappa_range", "grid", "bisect_tol", "delta_grid", "n_list",
-               "line_tol", "rho", "omega"}
+# numeric blocks: key -> default, whose type the value must have
+_MESH_DEFAULTS = {"elements": 64, "order": 2}
+_SWEEP_DEFAULTS = {"kappa_range": [-0.9, -0.05], "grid": 24, "bisect_tol": 1e-3,
+                   "delta_grid": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6],
+                   "n_list": [20, 40, 60, 80], "line_tol": 1e-6, "rho": 1.0,
+                   "omega": 1.0}
 _OUTPUT_KEYS = {"directory", "formats"}
 _TOP_KEYS = {"subcommand", "geometry", "material", "modes", "mesh", "sweep",
              "output"}
@@ -55,6 +59,20 @@ def _check_keys(block: dict, allowed: set, where: str):
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where} "
                           "(strict mode rejects unrecognized keys)")
+
+
+def _number(value, like, where: str):
+    """``value`` as the type of ``like`` (int, float or a list of one); a bool,
+    a string, a non-finite number or a fraction for an int is a config error."""
+    if isinstance(like, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [_number(v, like[0], where) for v in value]
+    kind = type(like)
+    if isinstance(value, bool) or not isinstance(value, (int, kind)) \
+            or not -math.inf < value < math.inf:
+        raise ConfigError(f"{where} must be a finite {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _build(factory, *args):
@@ -92,8 +110,9 @@ def parse_config(text: str) -> RunConfig:
     kind = geo.get("kind", "internal")
     rim = {} if kind == "internal" else geo   # an internal tip ignores rim data
     ao = rim.get("alpha_outer")
-    geometry = _build(CapGeometry, kind, float(geo["alpha"]),
-                      None if ao is None else float(ao), rim.get("outer_bc"))
+    geometry = _build(CapGeometry, kind, _number(geo["alpha"], 0.0, "geometry.alpha"),
+                      None if ao is None else _number(ao, 0.0, "geometry.alpha_outer"),
+                      rim.get("outer_bc"))
 
     material = None
     if "material" in raw and raw["material"] is not None:
@@ -102,44 +121,31 @@ def parse_config(text: str) -> RunConfig:
         if ("sigma_minus" in mat) == ("kappa" in mat):
             raise ConfigError("give exactly one of material.sigma_minus and "
                               "material.kappa")
-        sigma_plus = float(mat.get("sigma_plus", 1.0))
-        delta = float(mat.get("delta", 0.0))
-        if "kappa" in mat:
-            spec = _build(MaterialSpec.from_contrast, float(mat["kappa"]),
-                          sigma_plus, delta)
-        else:
-            spec = _build(MaterialSpec, sigma_plus, float(mat["sigma_minus"]), delta)
+        num = {k: _number(v, 0.0, f"material.{k}") for k, v in mat.items()}
+        sigma_plus, delta = num.get("sigma_plus", 1.0), num.get("delta", 0.0)
+        spec = (_build(MaterialSpec.from_contrast, num["kappa"], sigma_plus, delta)
+                if "kappa" in num else
+                _build(MaterialSpec, sigma_plus, num["sigma_minus"], delta))
         material = asdict(spec)
     elif sub != "aleph":
         raise ConfigError(f"subcommand {sub!r} requires a material block")
 
-    modes = raw.get("modes", [0, 1, 2, 3, 4])
-    if not isinstance(modes, list) or not modes or \
-            any((not isinstance(m, int)) or m < 0 for m in modes):
+    modes = _number(raw.get("modes", [0, 1, 2, 3, 4]), [0], "modes")
+    if not modes or min(modes) < 0:
         raise ConfigError("modes must be a nonempty list of integers >= 0")
 
     mesh = dict(raw.get("mesh") or {})
-    _check_keys(mesh, _MESH_KEYS, "mesh")
-    mesh = {"elements": int(mesh.get("elements", 64)),
-            "order": int(mesh.get("order", 2))}
+    _check_keys(mesh, set(_MESH_DEFAULTS), "mesh")
+    mesh = {k: _number(mesh.get(k, d), d, f"mesh.{k}") for k, d in _MESH_DEFAULTS.items()}
     if mesh["elements"] < 4:
         raise ConfigError("mesh.elements must be >= 4")
     if mesh["order"] not in (1, 2):
         raise ConfigError("mesh.order must be 1 or 2")
 
     sweep = dict(raw.get("sweep") or {})
-    _check_keys(sweep, _SWEEP_KEYS, "sweep")
-    sweep = {
-        "kappa_range": [float(x) for x in sweep.get("kappa_range", [-0.9, -0.05])],
-        "grid": int(sweep.get("grid", 24)),
-        "bisect_tol": float(sweep.get("bisect_tol", 1e-3)),
-        "delta_grid": [float(x) for x in sweep.get(
-            "delta_grid", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])],
-        "n_list": [int(x) for x in sweep.get("n_list", [20, 40, 60, 80])],
-        "line_tol": float(sweep.get("line_tol", 1e-6)),
-        "rho": float(sweep.get("rho", 1.0)),
-        "omega": float(sweep.get("omega", 1.0)),
-    }
+    _check_keys(sweep, set(_SWEEP_DEFAULTS), "sweep")
+    sweep = {k: _number(sweep.get(k, d), d, f"sweep.{k}")
+             for k, d in _SWEEP_DEFAULTS.items()}
 
     out = dict(raw.get("output") or {})
     _check_keys(out, _OUTPUT_KEYS, "output")

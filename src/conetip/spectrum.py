@@ -158,13 +158,8 @@ def _one_orthonormalize(vectors, m1):
 
 
 def _bilinear_gram(vectors, B):
-    n = len(vectors)
-    G = np.empty((n, n), dtype=complex)
-    for i, vi in enumerate(vectors):
-        Bvi = B @ vi
-        for j, vj in enumerate(vectors):
-            G[i, j] = vj @ Bvi
-    return G
+    V = np.array(vectors)
+    return (V @ (B @ V.T)).T   # G[i, j] = v_j^T B v_i
 
 
 def classify_eigenvalue(Lambda: complex, tol: float = LINE_TOL) -> str:

@@ -111,6 +111,23 @@ def test_trajectory_matches_dense_qz(alpha, kappa, mode, grid, branch, kept):
         assert abs(p.lam - lam) <= 1e-10 * abs(lam)
 
 
+@pytest.mark.parametrize("kappa", [-0.5, -0.6])
+def test_finite_difference_slope_converges(quarter_tip, kappa):
+    # The undamped point is certified by the same iteration as the damped
+    # ones, so no rounding error of order 1e-12 is divided by delta_min: the
+    # FD error keeps falling from delta_min = 1e-6 to 1e-7 (here by a factor
+    # 0.03; under 1-ulp perturbations of A and B, below 0.45).  The QZ
+    # cluster mean as the undamped point gives factors of 1.1-1.4.
+    cap = ct.build_cap(quarter_tip, ct.MaterialSpec.from_contrast(kappa), 0, 64, 2)
+    P0 = ct.assemble_pencil(cap)
+    le = ct.line_eigenvalues(ct.solve_pencil(P0))[0]
+    (_, dlp, _, _), = ct.perturbation_slope(
+        P0, (P0.stiffness_one, P0.mass_one), le)
+    err = [abs(ct.finite_difference_slope(ct.trajectory(cap, le, grid)) - dlp) / abs(dlp)
+           for grid in (DELTAS, DELTAS + [1e-7])]
+    assert err[1] < 0.6 * err[0]
+
+
 def test_perturbation_matches_finite_difference(tracked):
     cap, P0, le, points = tracked
     (dLam, dlp, dlm, _), = ct.perturbation_slope(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -130,6 +132,52 @@ def test_pencil_half_bandwidth_is_element_order(geometry, critical_material):
             for M in (P.A, P.B, P.stiffness_one, P.mass_one):
                 assert not M[outside].any()
                 assert np.diagonal(M, order).any()
+
+
+def _element_loop_assembly(cap, coefficient):
+    """Reference assembly: a loop over elements and Gauss points that
+    accumulates ``coefficient(e)``-weighted outer products of the shapes of
+    element ``e`` (independent of the cap's quadrature arrays)."""
+    mesh = cap.mesh
+    order = mesh.element_order
+    x, w, shape_n, shape_d = _reference_shapes(order)
+    n_full = mesh.n_dof_full
+    A = np.zeros((n_full, n_full), dtype=complex)
+    B = np.zeros((n_full, n_full), dtype=complex)
+    m2 = float(cap.mode * cap.mode)
+    for e in range(mesh.n_elements):
+        a, b = mesh.nodes[e], mesh.nodes[e + 1]
+        h = b - a
+        c = np.cos((a + b) / 2 + h / 2 * x)
+        dN = shape_d * (2 / h)
+        idx = slice(order * e, order * e + order + 1)
+        for k in range(len(x)):
+            mass_k = np.outer(shape_n[:, k], shape_n[:, k])
+            stiff_k = np.outer(dN[:, k], dN[:, k]) * c[k] + (m2 / c[k]) * mass_k
+            A[idx, idx] += coefficient(e) * h / 2 * w[k] * stiff_k
+            B[idx, idx] += coefficient(e) * h / 2 * w[k] * c[k] * mass_k
+    ix = np.ix_(cap.dof_map, cap.dof_map)
+    return A[ix], B[ix]
+
+
+@pytest.mark.parametrize("geometry", [
+    ct.CapGeometry("internal", np.pi / 4),
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=np.pi / 2, outer_bc="dirichlet"),
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=np.pi, outer_bc="neumann"),
+])
+def test_assembly_matches_element_loop(geometry):
+    for order, mode, delta in itertools.product((1, 2), (0, 1, 2), (0.0, 1e-3)):
+        mat = ct.MaterialSpec(sigma_plus=1.0, sigma_minus=-2.0, delta=delta)
+        cap = ct.build_cap(geometry, mat, mode, 20, order)
+        P = ct.assemble_pencil(cap)
+        k = cap.mesh.interface_index
+        sigma = lambda e: (mat.sigma_minus if e < k else mat.sigma_plus) + 1j * delta
+        ref = (*_element_loop_assembly(cap, sigma),
+               *_element_loop_assembly(cap, lambda e: 1.0))
+        for M, R in zip((P.A, P.B, P.stiffness_one, P.mass_one), ref, strict=True):
+            assert np.abs(M - R).max() <= 1e-14 * np.abs(R).max()
+            assert np.array_equal(M, M.T)
+        assert (P.A.dtype == np.float64) == (delta == 0.0)
 
 
 def test_dissipative_pencil_structure(quarter_tip, critical_material):

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,26 @@ def test_parse_rejects_unknown_keys():
     bad2["grids"] = {}
     with pytest.raises(ConfigError, match="grids"):
         parse_config(json.dumps(bad2))
+
+
+@pytest.mark.parametrize("block, value, where", [
+    ("geometry", {"kind": "internal", "alpha": "pi"}, "geometry.alpha"),
+    ("mesh", {"elements": "many"}, "mesh.elements"),
+    ("mesh", {"order": 2.5}, "mesh.order"),
+    ("modes", [True], "modes"),
+    ("modes", 3, "modes"),
+    ("material", {"kappa": True}, "material.kappa"),
+    ("material", {"kappa": float("nan")}, "material.kappa"),
+    ("material", {"kappa": -0.5, "delta": float("inf")}, "material.delta"),
+    ("sweep", {"kappa_range": -0.5}, "sweep.kappa_range"),
+    ("sweep", {"n_list": [20, "40"]}, "sweep.n_list"),
+    ("sweep", {"line_tol": None}, "sweep.line_tol"),
+])
+def test_parse_rejects_malformed_values(block, value, where):
+    bad = json.loads(MINIMAL)
+    bad[block] = value
+    with pytest.raises(ConfigError, match=where):
+        parse_config(json.dumps(bad))
 
 
 def test_config_round_trip():
@@ -161,6 +182,17 @@ def test_module_entry_point_is_quiet():
     assert proc.stderr == ""
 
 
+def test_version_single_source():
+    # pyproject.toml declares the version dynamic, read from conetip.__version__
+    from setuptools.config.pyprojecttoml import read_configuration
+    root = pathlib.Path(ct.__file__).resolve().parents[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # setuptools flags [tool.setuptools] as beta
+        project = read_configuration(root / "pyproject.toml", expand=True)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == ct.__version__
+
+
 def test_cli_resolved_lazily():
     from conetip import run_command as lazy
     assert lazy is ct.cli.run_command is run_command
@@ -205,6 +237,11 @@ def test_cli_main_errors(tmp_path, capsys):
     assert main(["aleph", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "does not match" in err
+    for block, value in (("geometry", {"alpha": "pi"}), ("mesh", {"elements": "many"}),
+                         ("modes", [True])):
+        cfg_path.write_text(json.dumps({**json.loads(MINIMAL), block: value}))
+        assert main(["spectrum", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: [config-error] ")
 
 
 def test_cli_main_runs(tmp_path):
