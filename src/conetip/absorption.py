@@ -21,9 +21,11 @@ import scipy.linalg
 from .cap import DiscreteCap, PencilMatrices, _band, _dissipated
 from .errors import DimensionMismatch, PerturbationDegenerate, TrajectoryLost
 from .flux import MandelstamBasis
-from .spectrum import ETA_MIN, RESIDUAL_TOL, LineEigenvalue, _normalize_one
+from .spectrum import (ETA_MIN, RESIDUAL_TOL, LineEigenvalue, _backward_error,
+                       _normalize_one)
 
 OVERLAP_MIN = 0.9
+ANGLE_TOL = 1e-6
 SLOPE_AMBIGUOUS = 1e-10
 _RQI_MAX_ITER = 30
 
@@ -42,8 +44,8 @@ class TrajectoryPoint:
 
 
 def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
-               branch: str = PLUS_BRANCH, eigen_index: int = 0) -> list:
-    """Continue one eigenpair through a descending dissipation grid.
+               branch: str = PLUS_BRANCH) -> list:
+    """Continue the first eigenpair of ``le`` through a descending delta grid.
 
     At ``delta = 0`` and each grid delta the point is the certified eigenpair
     of ``A0 + i delta A1 - Lambda (B0 + i delta B1)`` (undamped parts from
@@ -65,7 +67,7 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
     if cap.mode != le.mode or cap.n_dof != base.n:
         raise DimensionMismatch("cap does not match the line eigenvalue's pencil")
     m1 = base.mass_one
-    v_prev = np.asarray(le.eigenvectors[eigen_index], dtype=complex)
+    v_prev = np.asarray(le.eigenvectors[0], dtype=complex)
     Lam_prev = complex(le.Lambda)
     lam_prev = complex(-0.5, le.eta if branch == PLUS_BRANCH else -le.eta)
     points = []
@@ -96,22 +98,18 @@ def _rayleigh_iteration(A, B, u, Lam, v):
     the two-sided Rayleigh quotient ``x^T A x / x^T B x`` of the complex
     symmetric pencil.
 
-    Returns ``(Lambda, vector, residual)``, the residual normalized by the
-    largest column norms of A and B (lower bounds on their 2-norms).  The
-    iteration stops once the residual is below ``RESIDUAL_TOL`` and no longer
-    halving, i.e. at rounding level, or after ``_RQI_MAX_ITER`` solves.
+    Returns ``(Lambda, vector, residual)``, the residual that certifies
+    :func:`~conetip.spectrum.solve_pencil`; it stops at rounding level (below
+    ``RESIDUAL_TOL`` and no longer halving) or after ``_RQI_MAX_ITER`` solves.
     """
     A_band, B_band = _band(A, u), _band(B, u)
-    norm_a = np.linalg.norm(A, axis=0).max()
-    norm_b = np.linalg.norm(B, axis=0).max()
     res = np.inf
     for _ in range(_RQI_MAX_ITER):
         x = scipy.linalg.solve_banded((u, u), A_band - Lam * B_band, B @ v,
                                       check_finite=False)
         x = x / np.linalg.norm(x)
-        Ax, Bx = A @ x, B @ x
-        Lam_x = complex(x @ Ax / (x @ Bx))
-        res_x = np.linalg.norm(Ax - Lam_x * Bx) / (norm_a + abs(Lam_x) * norm_b)
+        Lam_x = complex(x @ (A @ x) / (x @ (B @ x)))
+        res_x = _backward_error(A, B, x[:, None], Lam_x)[0]
         if res < RESIDUAL_TOL and not res_x < res / 2:
             break
         Lam, v, res = Lam_x, x, res_x
@@ -217,9 +215,9 @@ class ConsistencyVerdict:
 
 
 def consistency_report(basis: MandelstamBasis, selection: AbsorptionSelection,
-                       line_evs, angle_tol: float = 1e-6) -> ConsistencyVerdict:
+                       line_evs) -> ConsistencyVerdict:
     """Principal angles between span(outgoing) and the absorption-selected
-    span within each (mode, eta) block of the singular space."""
+    span in each (mode, eta) block; they agree when none exceeds ``ANGLE_TOL``."""
     space = basis.flux.basis_ref
     details = {}
     agree = True
@@ -259,6 +257,6 @@ def consistency_report(basis: MandelstamBasis, selection: AbsorptionSelection,
         S = np.array(sel_cols).T
         angles = scipy.linalg.subspace_angles(plus_block, S)
         details[key] = {"angles": tuple(float(a) for a in angles)}
-        if angles.size and angles.max() > angle_tol:
+        if angles.size and angles.max() > ANGLE_TOL:
             agree = False
     return ConsistencyVerdict(agree=agree, details=details)

@@ -22,16 +22,8 @@ class DimensionMismatch(ConetipError):
     code = "dimension-mismatch"
 
 
-class MassMatrixSingular(ConetipError):
-    code = "mass-matrix-numerically-singular"
-
-
 class NearQuarterDegenerate(ConetipError):
     code = "near-quarter-degenerate"
-
-
-class JordanThresholdAmbiguous(ConetipError):
-    code = "jordan-threshold-ambiguous"
 
 
 class FluxLimitNonexistent(ConetipError):

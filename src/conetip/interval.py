@@ -70,8 +70,7 @@ def aleph(alpha: float) -> float:
 
 
 def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
-                  elements: int = 64, order: int = 2, line_tol: float = 1e-6,
-                  stop_at_first: bool = False):
+                  elements: int = 64, order: int = 2, stop_at_first: bool = False):
     """Whether any azimuthal mode carries an energy-line eigenvalue at this
     contrast.  Returns ``(flag, witnesses)`` with witnesses ``(mode, eta)``;
     ``stop_at_first`` short-circuits after the first witnessing mode (the
@@ -82,8 +81,7 @@ def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
     witnesses = []
     for m in modes:
         P = assemble_pencil(build_cap(geometry, material, m, elements, order))
-        for le in line_eigenvalues(solve_pencil(P), tol=line_tol):
-            witnesses.append((m, le.eta))
+        witnesses += [(m, le.eta) for le in line_eigenvalues(solve_pencil(P))]
         if witnesses and stop_at_first:
             break
     return len(witnesses) > 0, witnesses

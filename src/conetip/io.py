@@ -146,6 +146,8 @@ def parse_config(text: str) -> RunConfig:
     _check_keys(sweep, set(_SWEEP_DEFAULTS), "sweep")
     sweep = {k: _number(sweep.get(k, d), d, f"sweep.{k}")
              for k, d in _SWEEP_DEFAULTS.items()}
+    if len(sweep["kappa_range"]) != 2:
+        raise ConfigError("sweep.kappa_range must be a list of 2 numbers")
 
     out = dict(raw.get("output") or {})
     _check_keys(out, _OUTPUT_KEYS, "output")

@@ -1,11 +1,11 @@
 """Generalized eigensolve of the symbol pencil and the energy-line machinery.
 
 The pencil ``A f = Lambda B f`` has complex symmetric matrices and an
-indefinite weight, so the workhorse is a dense QZ solve (no symmetry
-shortcuts).  Eigenvalues map to singular exponents through
-``Lambda = lambda*(lambda+1)``; eigenvalues with real ``Lambda < -1/4`` sit on
-the energy line ``Re(lambda) = -1/2`` and generate propagating (black-hole)
-singularities.  This module certifies eigenpairs by residual, detects line
+indefinite weight, so the eigensolve is one dense QZ (no symmetry shortcuts)
+certified by :func:`_backward_error`.  Eigenvalues map to singular exponents
+through ``Lambda = lambda*(lambda+1)``; eigenvalues with real
+``Lambda < -1/4`` sit on the energy line ``Re(lambda) = -1/2`` and generate
+propagating (black-hole) singularities.  This module detects line
 eigenvalues, computes Jordan chains when the sigma-weighted Gram of the
 eigenspace degenerates, and derives radial weight exponents from the spectrum
 right of the line.
@@ -19,13 +19,13 @@ import numpy as np
 import scipy.linalg
 
 from .cap import PencilMatrices
-from .errors import (DimensionMismatch, MassMatrixSingular,
-                     NotApplicableDissipative)
+from .errors import DimensionMismatch, NotApplicableDissipative
 
 RESIDUAL_TOL = 1e-8
 LINE_TOL = 1e-6
 ETA_MIN = 1e-4
 JORDAN_THRESHOLD = 1e-10
+JORDAN_MAX_CHAIN = 4
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,17 @@ class EigenPair:
     vector: np.ndarray
     residual: float
 
+    def __post_init__(self):
+        self.vector.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Residual-certified pencil spectrum, sorted by (Re, Im) of Lambda."""
+    """Residual-certified pencil spectrum, in the order of :func:`solve_pencil`."""
 
     pairs: tuple
     mode: int
     pencil: PencilMatrices
-    b_condition: float
     n_rejected: int
 
     @property
@@ -62,57 +64,67 @@ def lambda_from_Lambda(Lambda: complex):
     return (-0.5 + s, -0.5 - s)
 
 
-def _normalize_one(v: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """Scale ``v`` to unit weight-one norm and rotate its largest entry onto
-    the positive real axis (an imaginary part at rounding level is zeroed)."""
-    v = v / np.sqrt(np.real(np.conj(v) @ (m1 @ v)))
-    k = int(np.argmax(np.abs(v)))
-    v = v * (np.conj(v[k]) / abs(v[k]))
-    if abs(v[k].imag) < 1e-13 * abs(v[k].real):
-        v = v + 0j
-        v.imag[k] = 0.0
-    return v
+def _times(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``M @ V`` for a C-contiguous complex block ``V``; a real ``M`` multiplies
+    its real and imaginary parts as one real block, with no complex copy of M."""
+    if np.iscomplexobj(M):
+        return M @ V
+    return (M @ V.view(float)).view(complex)
 
 
-def solve_pencil(P: PencilMatrices, residual_tol: float = RESIDUAL_TOL,
-                 method: str = "qz") -> SpectrumResult:
-    """Solve ``A v = Lambda B v`` densely.
+def _col_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``Re(X[:, j]^H Y[:, j])`` for every column, with no n x n temporary."""
+    return np.einsum("ij,ij->j", X.real, Y.real) + np.einsum("ij,ij->j", X.imag, Y.imag)
 
-    ``method="qz"`` never inverts B.  ``method="invert"`` runs a plain dense
-    eigensolve of ``B^{-1} A`` and refuses when the condition estimate of B
-    exceeds 1e12 (the estimate is reported either way).
+
+def _normalize_one(V: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """Scale each column of ``V`` (or the one vector ``V``) to unit weight-one
+    norm and rotate its largest entry onto the positive real axis (its
+    imaginary part, at rounding level after the rotation, is zeroed)."""
+    W = np.array(V, dtype=complex, order="C").reshape(len(V), -1)
+    W /= np.sqrt(_col_dot(W, _times(m1, W)))
+    top = (np.argmax(np.abs(W), axis=0), np.arange(W.shape[1]))
+    W *= np.conj(W[top]) / np.abs(W[top])
+    W[top] = W[top].real
+    return W.reshape(np.shape(V))
+
+
+def _backward_error(A, B, V, Lams):
+    """Backward error ``||A v - Lambda B v|| / (||A|| + |Lambda| ||B||)`` (Tisseur,
+    LAA 2000) of each pair ``(Lams[j], V[:, j])``, ``V`` C-contiguous; the norms
+    are the largest column 2-norms, lower bounds, so it over-estimates the error."""
+    R = _times(B, V)
+    R *= Lams
+    R -= _times(A, V)
+    norm_a, norm_b = (np.linalg.norm(M, axis=0).max() for M in (A, B))
+    return np.sqrt(_col_dot(R, R)) / (norm_a + np.abs(Lams) * norm_b)
+
+
+def solve_pencil(P: PencilMatrices) -> SpectrumResult:
+    """Solve ``A v = Lambda B v`` by dense QZ (B is never inverted).
+
+    Eigenvectors are normalized by :func:`_normalize_one`; a pair is kept when
+    its :func:`_backward_error` is below ``RESIDUAL_TOL`` (the rest, infinite
+    eigenvalues included, count in ``n_rejected``).  Pairs are sorted by real
+    part, then by the sign of the imaginary part.  LAPACK returns a conjugate
+    pair of a real pencil adjacently, ``Im > 0`` first, with real parts that
+    may differ in the last bits, so both members are sorted by their mean.
     """
-    A, B = np.asarray(P.A), np.asarray(P.B)
-    b_cond = float(np.linalg.cond(B))
-    if method == "invert":
-        if b_cond > 1e12:
-            raise MassMatrixSingular(f"cond(B) ~ {b_cond:.3e}")
-        w, vr = np.linalg.eig(np.linalg.solve(B, A))
-    elif method == "qz":
-        w, vr = scipy.linalg.eig(A, B)
-    else:
-        raise DimensionMismatch(f"unknown method {method!r}")
-    vr = vr.astype(complex)
-    norm_a = np.linalg.norm(A, 2)
-    norm_b = np.linalg.norm(B, 2)
-    m1 = P.mass_one
-
-    pairs = []
-    n_rejected = 0
-    for lam, v in zip(w, vr.T):
-        if not np.isfinite(lam):
-            n_rejected += 1
-            continue
-        v = _normalize_one(v, m1)
-        res = np.linalg.norm(A @ v - lam * (B @ v)) / (norm_a + abs(lam) * norm_b)
-        if res < residual_tol:
-            v.setflags(write=False)
-            pairs.append(EigenPair(Lambda=complex(lam), vector=v, residual=float(res)))
-        else:
-            n_rejected += 1
-    pairs.sort(key=lambda p: (p.Lambda.real, p.Lambda.imag))
-    return SpectrumResult(pairs=tuple(pairs), mode=P.cap.mode if P.cap else -1,
-                          pencil=P, b_condition=b_cond, n_rejected=n_rejected)
+    w, V = scipy.linalg.eig(P.A, P.B)
+    finite = np.isfinite(w)
+    w = np.where(finite, w, 0.0)
+    V = _normalize_one(V, P.mass_one)
+    res = _backward_error(P.A, P.B, V, w)
+    keep = finite & (res < RESIDUAL_TOL)
+    re = w.real.copy()
+    if np.isrealobj(P.A) and np.isrealobj(P.B):
+        j = np.flatnonzero(w.imag > 0)
+        re[j] = re[j + 1] = 0.5 * (re[j] + re[j + 1])
+    # one array per pair: n x n blocks kept across solves fragment the heap
+    pairs = tuple(EigenPair(complex(w[j]), V[:, j].copy(), float(res[j]))
+                  for j in np.lexsort((np.sign(w.imag), re)) if keep[j])
+    return SpectrumResult(pairs=pairs, mode=P.cap.mode if P.cap else -1,
+                          pencil=P, n_rejected=int(np.count_nonzero(~keep)))
 
 
 @dataclass(frozen=True)
@@ -171,14 +183,13 @@ def classify_eigenvalue(Lambda: complex, tol: float = LINE_TOL) -> str:
     return "line" if Lambda.real < -0.25 else "real"
 
 
-def line_eigenvalues(spec: SpectrumResult, tol: float = LINE_TOL,
-                     eta_min: float = ETA_MIN) -> list:
+def line_eigenvalues(spec: SpectrumResult, tol: float = LINE_TOL) -> list:
     """Extract eigenvalues on the energy line.
 
     An eigenvalue qualifies when :func:`classify_eigenvalue` calls it
-    ``"line"``.  Eigenvalues closer than ``tol`` (relative) are clustered
-    into one LineEigenvalue whose geometric multiplicity is the cluster size.  Clusters with ``eta < eta_min`` are
-    returned flagged ``near_quarter`` (the double root ``lambda = -1/2`` is
+    ``"line"``.  Eigenvalues closer than ``tol`` (relative) form one cluster
+    whose size is its geometric multiplicity.  Clusters with ``eta < ETA_MIN``
+    are flagged ``near_quarter`` (the double root ``lambda = -1/2`` is
     special-cased out of basis construction downstream).
     """
     cands = [p for p in spec.pairs if classify_eigenvalue(p.Lambda, tol) == "line"]
@@ -200,7 +211,7 @@ def line_eigenvalues(spec: SpectrumResult, tol: float = LINE_TOL,
         out.append(LineEigenvalue(
             eta=eta, Lambda=lam_mean, mode=spec.mode,
             eigenvectors=tuple(vecs), gram=G, pencil=spec.pencil,
-            chains=tuple(() for _ in vecs), near_quarter=eta < eta_min))
+            chains=tuple(() for _ in vecs), near_quarter=eta < ETA_MIN))
     out.sort(key=lambda le: le.eta)
     return out
 
@@ -220,24 +231,22 @@ def jordan_indicator(le: LineEigenvalue) -> float:
     return float(svals[-1] / _gram_scale(le, svals))
 
 
-def jordan_chains(P: PencilMatrices, le: LineEigenvalue,
-                  threshold: float = JORDAN_THRESHOLD, max_chain: int = 4,
-                  chain_tol: float = RESIDUAL_TOL) -> LineEigenvalue:
+def jordan_chains(P: PencilMatrices, le: LineEigenvalue) -> LineEigenvalue:
     """Populate Jordan chains of a line eigenvalue.
 
     The chain equation above a root ``phi_0`` is
     ``(A - Lambda B) phi_1 = 2i eta B phi_0`` (and
     ``(A - Lambda B) phi_{k+1} = 2i eta B phi_k + B phi_{k-1}`` further up),
     solvable exactly when the sigma-Gram of the eigenspace is singular.  Roots
-    are taken along the Gram's near-null singular directions and the chain is
-    extended while the least-squares residual certifies solvability.
+    are the Gram's directions below ``JORDAN_THRESHOLD``; a chain grows to
+    ``JORDAN_MAX_CHAIN`` vectors while its residual is below ``RESIDUAL_TOL``.
     """
     if le.pencil is not P:
         raise DimensionMismatch("line eigenvalue does not belong to this pencil")
     U, svals, Vh = np.linalg.svd(le.gram)
     scale = _gram_scale(le, svals)
-    ambiguous = threshold / 10 < svals[-1] / scale < threshold * 10
-    if svals[-1] >= threshold * scale:
+    ambiguous = JORDAN_THRESHOLD / 10 < svals[-1] / scale < JORDAN_THRESHOLD * 10
+    if svals[-1] >= JORDAN_THRESHOLD * scale:
         return replace(le, chains=tuple(() for _ in le.eigenvectors),
                        jordan_ambiguous=ambiguous)
 
@@ -245,7 +254,7 @@ def jordan_chains(P: PencilMatrices, le: LineEigenvalue,
     two_i_eta = 2j * le.eta
     basis = np.array(le.eigenvectors).T
     new_vectors, new_chains = [], []
-    null_mask = svals < threshold * scale
+    null_mask = svals < JORDAN_THRESHOLD * scale
     # defective roots first (null directions of the Gram), then the rest
     order = list(np.where(null_mask)[0]) + list(np.where(~null_mask)[0])
     for j in order:
@@ -257,13 +266,13 @@ def jordan_chains(P: PencilMatrices, le: LineEigenvalue,
             continue
         chain = []
         prev2, prev1 = None, phi0
-        while len(chain) < max_chain - 1:
+        while len(chain) < JORDAN_MAX_CHAIN - 1:
             rhs = two_i_eta * (P.B @ prev1)
             if prev2 is not None:
                 rhs = rhs + P.B @ prev2
             x, *_ = np.linalg.lstsq(M, rhs, rcond=None)
             res = np.linalg.norm(M @ x - rhs) / np.linalg.norm(P.B @ prev1)
-            if res > chain_tol:
+            if res > RESIDUAL_TOL:
                 break
             chain.append(x)
             prev2, prev1 = prev1, x
@@ -304,11 +313,11 @@ def _beta_error(pencil: PencilMatrices, pair: EigenPair) -> float:
     return float(d_Lambda / (2.0 * abs(np.sqrt(Lam + 0.25))))
 
 
-def spectral_weights(specs, bc_kind: str, line_tol: float = LINE_TOL) -> SpectralWeights:
+def spectral_weights(specs, bc_kind: str) -> SpectralWeights:
     """Weight exponent from a collection of per-mode spectra.
 
     Both exponent roots of every eigenvalue are considered; eigenvalues within
-    ``line_tol`` of the line are excluded so the weight measures off-line
+    ``LINE_TOL`` of the line are excluded so the weight measures off-line
     spectrum only.  The selected eigenpair's error bound is reported as
     ``beta_err``.  For ``"neumann"`` a ``beta`` within ``beta_err`` of 5/2 is
     reported as exactly 5/2 (keeping its eigenvalue and bound), and one
@@ -324,7 +333,7 @@ def spectral_weights(specs, bc_kind: str, line_tol: float = LINE_TOL) -> Spectra
             for lam in roots:
                 n_total += 1
                 d = lam.real + 0.5
-                if d > line_tol and d < best:
+                if d > LINE_TOL and d < best:
                     best, best_lam, best_at = d, lam, (spec.pencil, p)
     if n_total == 0:
         raise DimensionMismatch("empty spectrum")

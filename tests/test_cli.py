@@ -65,6 +65,7 @@ def test_parse_rejects_unknown_keys():
     ("sweep", {"kappa_range": -0.5}, "sweep.kappa_range"),
     ("sweep", {"n_list": [20, "40"]}, "sweep.n_list"),
     ("sweep", {"line_tol": None}, "sweep.line_tol"),
+    ("sweep", {"kappa_range": [-0.5]}, "sweep.kappa_range"),
 ])
 def test_parse_rejects_malformed_values(block, value, where):
     bad = json.loads(MINIMAL)
@@ -242,6 +243,10 @@ def test_cli_main_errors(tmp_path, capsys):
         cfg_path.write_text(json.dumps({**json.loads(MINIMAL), block: value}))
         assert main(["spectrum", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error: [config-error] ")
+    cfg_path.write_text(json.dumps({**json.loads(MINIMAL), "subcommand": "interval",
+                                    "sweep": {"kappa_range": [-0.5]}}))
+    assert main(["interval", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [config-error] sweep.kappa_range")
 
 
 def test_cli_main_runs(tmp_path):
