@@ -22,7 +22,7 @@ from .cap import DiscreteCap, PencilMatrices, _band, _dissipated
 from .errors import DimensionMismatch, PerturbationDegenerate, TrajectoryLost
 from .flux import MandelstamBasis
 from .spectrum import (ETA_MIN, RESIDUAL_TOL, LineEigenvalue, _backward_error,
-                       _normalize_one)
+                       _normalize_one, _times)
 
 OVERLAP_MIN = 0.9
 ANGLE_TOL = 1e-6
@@ -45,7 +45,7 @@ class TrajectoryPoint:
 
 def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
                branch: str = PLUS_BRANCH) -> list:
-    """Continue the first eigenpair of ``le`` through a descending delta grid.
+    """Continue the eigenpair of ``le`` through a descending delta grid.
 
     At ``delta = 0`` and each grid delta the point is the certified eigenpair
     of ``A0 + i delta A1 - Lambda (B0 + i delta B1)`` (undamped parts from
@@ -105,10 +105,10 @@ def _rayleigh_iteration(A, B, u, Lam, v):
     A_band, B_band = _band(A, u), _band(B, u)
     res = np.inf
     for _ in range(_RQI_MAX_ITER):
-        x = scipy.linalg.solve_banded((u, u), A_band - Lam * B_band, B @ v,
-                                      check_finite=False)
+        x = scipy.linalg.solve_banded((u, u), A_band - Lam * B_band,
+                                      _times(B, v), check_finite=False)
         x = x / np.linalg.norm(x)
-        Lam_x = complex(x @ (A @ x) / (x @ (B @ x)))
+        Lam_x = complex(x @ _times(A, x) / (x @ _times(B, x)))
         res_x = _backward_error(A, B, x[:, None], Lam_x)[0]
         if res < RESIDUAL_TOL and not res_x < res / 2:
             break
@@ -119,43 +119,33 @@ def _rayleigh_iteration(A, B, u, Lam, v):
 def perturbation_slope(P0: PencilMatrices, P1_parts, le: LineEigenvalue):
     """First-order eigenvalue motion under ``sigma + i*delta``.
 
-    For a simple line eigenvalue,
+    With ``phi`` the line eigenvalue's eigenvector,
     ``dLambda/ddelta = i phi^T (A1 - Lambda B1) phi / (phi^T B0 phi)`` and
-    ``dlambda/ddelta = dLambda / (2 lambda + 1)`` per branch; a cluster is
-    handled by diagonalizing the projected perturbation against the projected
-    weight.  Returns ``(dLambda, dlambda_plus, dlambda_minus, direction)``
-    per splitting direction.
+    ``dlambda/ddelta = dLambda / (2 lambda + 1)`` per branch.  Returns the
+    one-element list ``[(dLambda, dlambda_plus, dlambda_minus, phi)]``.
     """
     A1, B1 = P1_parts
     if le.eta <= ETA_MIN:
         raise PerturbationDegenerate("eta at the double-root guard")
-    Phi = np.array(le.eigenvectors).T
-    M = Phi.T @ ((A1 - le.Lambda * B1) @ Phi)
-    G = Phi.T @ (P0.B @ Phi)
-    if le.multiplicity == 1:
-        if abs(G[0, 0]) < 1e-12 * max(1.0, abs(M[0, 0])):
-            raise PerturbationDegenerate("sigma-Gram vanishes (Jordan-adjacent)")
-        d_Lams = np.array([1j * M[0, 0] / G[0, 0]])
-        dirs = np.eye(1, dtype=complex)
-    else:
-        if np.linalg.cond(G) > 1e10:
-            raise PerturbationDegenerate("projected weight is singular")
-        vals, dirs = scipy.linalg.eig(1j * M, G)
-        order = np.argsort(vals.imag)
-        d_Lams, dirs = vals[order], dirs[:, order]
+    phi = np.asarray(le.eigenvectors[0], dtype=complex)
+    m = complex(phi @ _times(A1 - le.Lambda * B1, phi))
+    g = complex(phi @ _times(P0.B, phi))
+    if abs(g) < 1e-12 * max(1.0, abs(m)):
+        raise PerturbationDegenerate("sigma-Gram vanishes (Jordan-adjacent)")
+    dL = 1j * m / g
     lam_p = complex(-0.5, le.eta)
     lam_m = complex(-0.5, -le.eta)
-    return [(complex(dL), complex(dL / (2 * lam_p + 1)), complex(dL / (2 * lam_m + 1)),
-             Phi @ w) for dL, w in zip(d_Lams, dirs.T)]
+    return [(dL, dL / (2 * lam_p + 1), dL / (2 * lam_m + 1), phi)]
 
 
 @dataclass(frozen=True)
 class AbsorptionSelection:
     """Which exponent branch each conjugate pair selects under dissipation.
 
-    ``choices`` maps ``(mode, eta, direction_index)`` to ``"plus"``,
-    ``"minus"`` or ``"ambiguous"``; the selected branch is the one whose
-    exponent moves to the admissible side ``Re(lambda) > -1/2``.
+    ``choices`` maps ``(mode, eta, k)`` to ``"plus"``, ``"minus"`` or
+    ``"ambiguous"``, with ``k`` the index of the slope (0 for the analytic
+    one); the selected branch is the one whose exponent moves to the
+    admissible side ``Re(lambda) > -1/2``.
     """
 
     choices: dict
@@ -230,31 +220,16 @@ def consistency_report(basis: MandelstamBasis, selection: AbsorptionSelection,
         plus_block = basis.plus_coords[idx, :]
         plus_block = plus_block[:, np.abs(plus_block).sum(axis=0) > 0]
 
-        sel_cols = []
-        for k in range(le.multiplicity):
-            choice = selection.choices.get((le.mode, le.eta, k))
-            if choice is None:
-                continue
-            _, _, _, direction = perturbation_slope(
-                le.pencil, (le.pencil.stiffness_one, le.pencil.mass_one), le)[k]
-            w = np.linalg.lstsq(np.array(le.eigenvectors).T, direction, rcond=None)[0]
-            col = np.zeros((len(idx),), dtype=complex)
-            for j, member_i in enumerate(idx):
-                m = space.members[member_i]
-                _, eigen_index, level = m.indices
-                if level:
-                    continue
-                if not m.conjugated and choice == PLUS_BRANCH:
-                    col[j] = w[eigen_index]
-                elif m.conjugated and choice == MINUS_BRANCH:
-                    col[j] = np.conj(w[eigen_index])
-            if np.any(col):
-                sel_cols.append(col)
-        if not sel_cols:
+        # the selected field is the eigenvector's level-0 member on the
+        # chosen branch (the conjugated one for the minus branch)
+        conjugated = {PLUS_BRANCH: False, MINUS_BRANCH: True}.get(
+            selection.choices.get((le.mode, le.eta, 0)))
+        S = np.array([[m.indices[2] == 0 and m.conjugated == conjugated]
+                      for m in (space.members[i] for i in idx)], dtype=complex)
+        if not S.any():
             details[key] = {"angles": (), "note": "no unambiguous selection"}
             agree = False
             continue
-        S = np.array(sel_cols).T
         angles = scipy.linalg.subspace_angles(plus_block, S)
         details[key] = {"angles": tuple(float(a) for a in angles)}
         if angles.size and angles.max() > ANGLE_TOL:

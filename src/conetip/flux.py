@@ -65,7 +65,8 @@ class LogPolynomial:
 class Hypersingularity:
     """One propagating singularity ``chi(r) * r^lam * (log-polynomial)``.
 
-    ``indices = (mode, eigen_index, chain_level)`` records provenance; the
+    ``indices = (mode, 0, chain_level)`` records provenance (the middle
+    entry, the eigenvector index, is 0: a line eigenvalue has one); the
     cutoff ``chi`` equals 1 for ``r <= cutoff_rho / 2`` and 0 beyond
     ``cutoff_rho``, so all flux evaluations live where the field is an exact
     power-log solution.
@@ -81,10 +82,9 @@ class Hypersingularity:
     pencil: PencilMatrices
 
 
-def build_singularity(le: LineEigenvalue, eigen_index: int = 0,
-                      chain_level: int = 0, rho: float = 1.0,
+def build_singularity(le: LineEigenvalue, chain_level: int = 0, rho: float = 1.0,
                       conjugate: bool = False) -> Hypersingularity:
-    """Assemble the singularity of one (generalized) eigenvector.
+    """Assemble the singularity of the eigenvector or a generalized one.
 
     Chain level ``l`` uses coefficients ``c_p = phi_{l-p}`` walking down the
     Jordan chain; ``conjugate=True`` builds the mirror field with
@@ -92,16 +92,10 @@ def build_singularity(le: LineEigenvalue, eigen_index: int = 0,
     """
     if rho <= 0:
         raise DimensionMismatch("rho must be positive")
-    if not 0 <= eigen_index < le.multiplicity:
-        raise DimensionMismatch("eigen_index out of range")
-    chain = le.chains[eigen_index]
-    if not 0 <= chain_level <= len(chain):
+    vectors = (*le.eigenvectors, *le.chains[0])
+    if not 0 <= chain_level < len(vectors):
         raise DimensionMismatch("chain level beyond available chain")
-
-    def vec(i):
-        return le.eigenvectors[eigen_index] if i == 0 else chain[i - 1]
-
-    coeffs = [vec(chain_level - p) for p in range(chain_level + 1)]
+    coeffs = [vectors[chain_level - p] for p in range(chain_level + 1)]
     lam = complex(-0.5, le.eta)
     if conjugate:
         lam = np.conj(lam)
@@ -109,7 +103,7 @@ def build_singularity(le: LineEigenvalue, eigen_index: int = 0,
     return Hypersingularity(lam=complex(lam), eta=le.eta,
                             poly=LogPolynomial(coeffs=tuple(coeffs)),
                             cutoff_rho=float(rho),
-                            indices=(le.mode, eigen_index, chain_level),
+                            indices=(le.mode, 0, chain_level),
                             mode=le.mode, conjugated=conjugate, pencil=le.pencil)
 
 
@@ -117,8 +111,8 @@ def build_singularity(le: LineEigenvalue, eigen_index: int = 0,
 class SingularSpace:
     """Span of all singularities of a coefficient: both branches of every
     line eigenvalue and every chain level, so the dimension is even.
-    Members are ordered by (mode, eta, eigen_index, chain_level) with each
-    conjugate directly after its partner."""
+    Members are ordered by (mode, eta, chain_level) with each conjugate
+    directly after its partner."""
 
     members: tuple
     sigma_tag: str = ""
@@ -145,10 +139,9 @@ def singular_space(line_evs, rho: float = 1.0, sigma_tag: str = "") -> SingularS
         if le.near_quarter:
             raise NearQuarterDegenerate(
                 f"eta={le.eta:.2e} too close to the double root")
-        for k in range(le.multiplicity):
-            for level in range(len(le.chains[k]) + 1):
-                members.append(build_singularity(le, k, level, rho, False))
-                members.append(build_singularity(le, k, level, rho, True))
+        for level in range(len(le.chains[0]) + 1):
+            members.append(build_singularity(le, level, rho, False))
+            members.append(build_singularity(le, level, rho, True))
     if len(members) % 2:
         raise OddDimensionInternalError("singular space dimension is odd")
     return SingularSpace(members=tuple(members), sigma_tag=sigma_tag)

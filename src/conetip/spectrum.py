@@ -5,10 +5,13 @@ indefinite weight, so the eigensolve is one dense QZ (no symmetry shortcuts)
 certified by :func:`_backward_error`.  Eigenvalues map to singular exponents
 through ``Lambda = lambda*(lambda+1)``; eigenvalues with real
 ``Lambda < -1/4`` sit on the energy line ``Re(lambda) = -1/2`` and generate
-propagating (black-hole) singularities.  This module detects line
-eigenvalues, computes Jordan chains when the sigma-weighted Gram of the
-eigenspace degenerates, and derives radial weight exponents from the spectrum
-right of the line.
+propagating (black-hole) singularities.  At such a ``Lambda`` both region
+blocks are definite on their interior dofs, so a kernel vector is fixed by its
+interface value and each line eigenvalue has exactly one eigenvector.  This
+module detects line eigenvalues, grows a Jordan chain above the eigenvector
+when its sigma-weighted self-product ``phi^T B phi`` vanishes (a fold of the
+dispersion relation, where the Krein sign changes), and derives radial weight
+exponents from the spectrum right of the line.
 """
 
 from __future__ import annotations
@@ -65,11 +68,19 @@ def lambda_from_Lambda(Lambda: complex):
 
 
 def _times(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``M @ V`` for a C-contiguous complex block ``V``; a real ``M`` multiplies
-    its real and imaginary parts as one real block, with no complex copy of M."""
+    """``M @ V`` for a C-contiguous complex vector or block ``V``; a real ``M``
+    multiplies its real and imaginary parts as one real block, with no complex
+    copy of M."""
     if np.iscomplexobj(M):
         return M @ V
-    return (M @ V.view(float)).view(complex)
+    W = V.reshape(len(V), -1).view(float)
+    return (M @ W).view(complex).reshape(V.shape)
+
+
+def _norm(M: np.ndarray) -> float:
+    """Largest column 2-norm of ``M``: a lower bound of ``||M||_2`` within a
+    factor ``sqrt(n)``, and the matrix scale of every residual and Gram test."""
+    return float(np.linalg.norm(M, axis=0).max())
 
 
 def _col_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -96,8 +107,7 @@ def _backward_error(A, B, V, Lams):
     R = _times(B, V)
     R *= Lams
     R -= _times(A, V)
-    norm_a, norm_b = (np.linalg.norm(M, axis=0).max() for M in (A, B))
-    return np.sqrt(_col_dot(R, R)) / (norm_a + np.abs(Lams) * norm_b)
+    return np.sqrt(_col_dot(R, R)) / (_norm(A) + np.abs(Lams) * _norm(B))
 
 
 def solve_pencil(P: PencilMatrices) -> SpectrumResult:
@@ -129,14 +139,15 @@ def solve_pencil(P: PencilMatrices) -> SpectrumResult:
 
 @dataclass(frozen=True)
 class LineEigenvalue:
-    """A (clustered) pencil eigenvalue on the energy line.
+    """A pencil eigenvalue on the energy line with its one eigenvector.
 
     ``eta > 0`` with ``lambda = -1/2 + i*eta`` and ``Lambda = -1/4 - eta**2``.
-    ``eigenvectors`` span the discrete kernel, orthonormalized in the
-    weight-one inner product; ``gram`` is the bilinear sigma-weighted Gram
-    ``G[i, j] = phi_i^T B phi_j`` whose degeneracy signals Jordan chains.
-    ``chains[k]`` lists the generalized vectors above ``eigenvectors[k]``
-    (empty tuple when the eigenvalue is non-defective).
+    ``eigenvectors`` holds the single kernel vector ``phi`` (weight-one
+    normalized), ``gram`` the 1 x 1 sigma-weighted Gram ``[[phi^T B phi]]``
+    whose vanishing signals a Jordan chain, and ``chains`` the one tuple of
+    generalized vectors above ``phi`` (empty when the eigenvalue is
+    non-defective).  Any other number of eigenvectors or chains raises
+    ``DimensionMismatch``.
     """
 
     eta: float
@@ -145,33 +156,24 @@ class LineEigenvalue:
     eigenvectors: tuple
     gram: np.ndarray
     pencil: PencilMatrices
-    chains: tuple = ()
+    chains: tuple = ((),)
     near_quarter: bool = False
     jordan_ambiguous: bool = False
 
+    def __post_init__(self):
+        if len(self.eigenvectors) != 1 or len(self.chains) != 1:
+            raise DimensionMismatch(
+                f"a line eigenvalue has one eigenvector and one chain, got "
+                f"{len(self.eigenvectors)} and {len(self.chains)}")
+
     @property
     def multiplicity(self) -> int:
+        """Geometric multiplicity, always 1."""
         return len(self.eigenvectors)
 
     @property
     def lam(self) -> complex:
         return complex(-0.5, self.eta)
-
-
-def _one_orthonormalize(vectors, m1):
-    """Gram-Schmidt in the sesquilinear weight-one inner product."""
-    out = []
-    for v in vectors:
-        v = np.asarray(v, dtype=complex)
-        for u in out:
-            v = v - (np.conj(u) @ (m1 @ v)) * u
-        out.append(_normalize_one(v, m1))
-    return out
-
-
-def _bilinear_gram(vectors, B):
-    V = np.array(vectors)
-    return (V @ (B @ V.T)).T   # G[i, j] = v_j^T B v_i
 
 
 def classify_eigenvalue(Lambda: complex, tol: float = LINE_TOL) -> str:
@@ -187,8 +189,10 @@ def line_eigenvalues(spec: SpectrumResult, tol: float = LINE_TOL) -> list:
     """Extract eigenvalues on the energy line.
 
     An eigenvalue qualifies when :func:`classify_eigenvalue` calls it
-    ``"line"``.  Eigenvalues closer than ``tol`` (relative) form one cluster
-    whose size is its geometric multiplicity.  Clusters with ``eta < ETA_MIN``
+    ``"line"``.  Eigenvalues closer than ``tol`` (relative) are one line
+    eigenvalue (QZ splits an exact Jordan pair by about 1e-8): ``Lambda`` is
+    their mean and the eigenvector that of the member with the smallest
+    residual (the first on ties).  Line eigenvalues with ``eta < ETA_MIN``
     are flagged ``near_quarter`` (the double root ``lambda = -1/2`` is
     special-cased out of basis construction downstream).
     """
@@ -202,72 +206,48 @@ def line_eigenvalues(spec: SpectrumResult, tol: float = LINE_TOL) -> list:
         else:
             clusters.append([p])
     out = []
-    m1 = spec.pencil.mass_one
+    P = spec.pencil
     for cl in clusters:
         lam_mean = float(np.mean([p.Lambda.real for p in cl]))
         eta = float(np.sqrt(max(-lam_mean - 0.25, 0.0)))
-        vecs = _one_orthonormalize([p.vector for p in cl], m1)
-        G = _bilinear_gram(vecs, spec.pencil.B)
+        v = _normalize_one(min(cl, key=lambda p: p.residual).vector, P.mass_one)
         out.append(LineEigenvalue(
-            eta=eta, Lambda=lam_mean, mode=spec.mode,
-            eigenvectors=tuple(vecs), gram=G, pencil=spec.pencil,
-            chains=tuple(() for _ in vecs), near_quarter=eta < ETA_MIN))
+            eta=eta, Lambda=lam_mean, mode=spec.mode, eigenvectors=(v,),
+            gram=np.array([[v @ _times(P.B, v)]]), pencil=P,
+            near_quarter=eta < ETA_MIN))
     out.sort(key=lambda le: le.eta)
     return out
 
 
-def _gram_scale(le: LineEigenvalue, svals: np.ndarray) -> float:
-    # natural magnitude of sigma-grams of weight-one-normalized vectors;
-    # keeps the threshold meaningful for geometric multiplicity one
-    P = le.pencil
-    floor = np.linalg.norm(P.B, 2) / np.linalg.norm(P.mass_one, 2)
-    return float(max(svals[0] if len(svals) else 0.0, floor))
-
-
 def jordan_indicator(le: LineEigenvalue) -> float:
-    """Smallest singular value of the sigma-Gram over its scale; values below
-    the Jordan threshold signal generalized eigenvectors."""
-    svals = np.linalg.svd(le.gram, compute_uv=False)
-    return float(svals[-1] / _gram_scale(le, svals))
+    """``|phi^T B phi|`` over its natural scale ``||B|| / ||M1||`` (the sigma
+    self-product of a weight-one normalized vector, norms by :func:`_norm`);
+    values below ``JORDAN_THRESHOLD`` signal a Jordan chain."""
+    P = le.pencil
+    return float(abs(le.gram[0, 0]) * _norm(P.mass_one) / _norm(P.B))
 
 
 def jordan_chains(P: PencilMatrices, le: LineEigenvalue) -> LineEigenvalue:
-    """Populate Jordan chains of a line eigenvalue.
+    """Populate the Jordan chain of a line eigenvalue.
 
-    The chain equation above a root ``phi_0`` is
+    The chain equation above the eigenvector ``phi_0`` is
     ``(A - Lambda B) phi_1 = 2i eta B phi_0`` (and
     ``(A - Lambda B) phi_{k+1} = 2i eta B phi_k + B phi_{k-1}`` further up),
-    solvable exactly when the sigma-Gram of the eigenspace is singular.  Roots
-    are the Gram's directions below ``JORDAN_THRESHOLD``; a chain grows to
-    ``JORDAN_MAX_CHAIN`` vectors while its residual is below ``RESIDUAL_TOL``.
+    solvable exactly when ``phi_0^T B phi_0`` vanishes.  A chain is grown when
+    :func:`jordan_indicator` is below ``JORDAN_THRESHOLD``, up to
+    ``JORDAN_MAX_CHAIN`` vectors while its residual is below ``RESIDUAL_TOL``;
+    ``jordan_ambiguous`` flags an indicator within a decade of the threshold.
     """
     if le.pencil is not P:
         raise DimensionMismatch("line eigenvalue does not belong to this pencil")
-    U, svals, Vh = np.linalg.svd(le.gram)
-    scale = _gram_scale(le, svals)
-    ambiguous = JORDAN_THRESHOLD / 10 < svals[-1] / scale < JORDAN_THRESHOLD * 10
-    if svals[-1] >= JORDAN_THRESHOLD * scale:
-        return replace(le, chains=tuple(() for _ in le.eigenvectors),
-                       jordan_ambiguous=ambiguous)
-
-    M = P.A - le.Lambda * P.B
-    two_i_eta = 2j * le.eta
-    basis = np.array(le.eigenvectors).T
-    new_vectors, new_chains = [], []
-    null_mask = svals < JORDAN_THRESHOLD * scale
-    # defective roots first (null directions of the Gram), then the rest
-    order = list(np.where(null_mask)[0]) + list(np.where(~null_mask)[0])
-    for j in order:
-        w = Vh[j].conj()
-        phi0 = basis @ w
-        new_vectors.append(phi0)
-        if not null_mask[j]:
-            new_chains.append(())
-            continue
-        chain = []
-        prev2, prev1 = None, phi0
+    indicator = jordan_indicator(le)
+    ambiguous = JORDAN_THRESHOLD / 10 < indicator < JORDAN_THRESHOLD * 10
+    chain = []
+    if indicator < JORDAN_THRESHOLD:
+        M = P.A - le.Lambda * P.B
+        prev2, prev1 = None, le.eigenvectors[0]
         while len(chain) < JORDAN_MAX_CHAIN - 1:
-            rhs = two_i_eta * (P.B @ prev1)
+            rhs = 2j * le.eta * (P.B @ prev1)
             if prev2 is not None:
                 rhs = rhs + P.B @ prev2
             x, *_ = np.linalg.lstsq(M, rhs, rcond=None)
@@ -276,9 +256,7 @@ def jordan_chains(P: PencilMatrices, le: LineEigenvalue) -> LineEigenvalue:
                 break
             chain.append(x)
             prev2, prev1 = prev1, x
-        new_chains.append(tuple(chain))
-    return replace(le, eigenvectors=tuple(new_vectors), chains=tuple(new_chains),
-                   jordan_ambiguous=ambiguous)
+    return replace(le, chains=(tuple(chain),), jordan_ambiguous=ambiguous)
 
 
 @dataclass(frozen=True)
@@ -308,8 +286,9 @@ def _beta_error(pencil: PencilMatrices, pair: EigenPair) -> float:
     # (Tisseur, LAA 2000); beta = +-Re sqrt(Lambda + 1/4) + const gives
     # |dbeta| <= |dLambda| / (2 |sqrt(Lambda + 1/4)|).
     v, Lam = pair.vector, pair.Lambda
-    Bv = pencil.B @ v
-    d_Lambda = np.linalg.norm(pencil.A @ v - Lam * Bv) * np.linalg.norm(v) / abs(v @ Bv)
+    Bv = _times(pencil.B, v)
+    r = _times(pencil.A, v) - Lam * Bv
+    d_Lambda = np.linalg.norm(r) * np.linalg.norm(v) / abs(v @ Bv)
     return float(d_Lambda / (2.0 * abs(np.sqrt(Lam + 0.25))))
 
 

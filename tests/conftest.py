@@ -91,8 +91,9 @@ def defective_pencil(eta=1.0):
 
 
 def defective_line_eigenvalue(eta=1.0):
-    """The defective pencil with its exact kernel basis (the discrete solver
-    cannot separate the collapsed eigenvector pair, so the kernel is given)."""
+    """The defective pencil with its exact eigenvector, built by hand so the
+    chain and flux tests do not rest on the eigensolver (``line_eigenvalues``
+    finds the same line eigenvalue from ``solve_pencil``)."""
     P = defective_pencil(eta)
     phi = np.array([1.0 + 0j, 0.0])
     le = ct.LineEigenvalue(eta=eta, Lambda=-0.25 - eta * eta, mode=0,

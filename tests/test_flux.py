@@ -26,7 +26,7 @@ def test_simple_singularity_shape(line_evs):
 def test_jordan_singularity_coefficients():
     P, le0 = defective_line_eigenvalue(1.0)
     le = ct.jordan_chains(P, le0)
-    s1 = ct.build_singularity(le, eigen_index=0, chain_level=1, rho=1.0)
+    s1 = ct.build_singularity(le, chain_level=1, rho=1.0)
     assert s1.poly.degree == 1
     assert np.array_equal(s1.poly.coeffs[1], le.eigenvectors[0])
     assert np.array_equal(s1.poly.coeffs[0], le.chains[0][0])

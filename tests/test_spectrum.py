@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import conetip as ct
-from conetip.errors import NotApplicableDissipative
+from conetip.errors import DimensionMismatch, NotApplicableDissipative
 from conetip.spectrum import RESIDUAL_TOL, _normalize_one
 
-from conftest import defective_line_eigenvalue
+from conftest import defective_line_eigenvalue, defective_pencil
 
 
 def legendre_Lambdas(l_max):
@@ -193,6 +193,58 @@ def test_synthetic_defective_chain():
     phi1 = out.chains[0][0]
     res = np.linalg.norm((P.A - le.Lambda * P.B) @ phi1 - 2j * eta * (P.B @ phi0))
     assert res / np.linalg.norm(P.B @ phi0) < 1e-8
+
+
+def test_solved_defective_pencil_has_one_eigenvector_and_a_chain():
+    # QZ returns the Jordan pair as two eigenvalues with nearly parallel
+    # vectors: they are one line eigenvalue, one kernel vector and a chain
+    eta = 1.0
+    P = defective_pencil(eta)
+    (le,) = ct.line_eigenvalues(ct.solve_pencil(P))
+    assert le.multiplicity == 1
+    M = P.A - le.Lambda * P.B
+    phi0 = le.eigenvectors[0]
+    assert np.linalg.norm(M @ phi0) < 1e-12
+    out = ct.jordan_chains(P, le)
+    assert len(out.chains[0]) == 1
+    phi1 = out.chains[0][0]
+    assert np.linalg.norm(M @ phi1 - 2j * eta * (P.B @ phi0)) < 1e-12
+    space = ct.singular_space([out], rho=1.0)
+    assert space.dim == 4
+    evals = np.linalg.eigvalsh(ct.flux_matrix(space).hermitian_part)
+    assert np.sum(evals > 0) == 2 == np.sum(evals < 0)
+
+
+@pytest.mark.parametrize("geometry", [
+    ct.CapGeometry("internal", np.pi / 4),
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=3 * np.pi / 4,
+                   outer_bc="dirichlet"),
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=3 * np.pi / 4,
+                   outer_bc="neumann"),
+], ids=["internal", "dirichlet", "neumann"])
+def test_line_eigenvalues_are_geometrically_simple(geometry):
+    # both region blocks are definite below the line, so the kernel of
+    # A - Lambda B is one-dimensional: the second-smallest singular value
+    # stays well away from zero (>= 2e-4 of the largest here)
+    count = 0
+    for kappa, order, mode in itertools.product((-0.3, -0.5, -0.78, -0.95),
+                                                (1, 2), (0, 1, 2)):
+        P = ct.pencil_for(geometry, ct.MaterialSpec.from_contrast(kappa),
+                          mode, 32, order)
+        for le in ct.line_eigenvalues(ct.solve_pencil(P)):
+            s = np.linalg.svd(P.A - le.Lambda * P.B, compute_uv=False)
+            assert s[-2] / s[0] > 1e-6
+            count += 1
+    assert count >= 8
+
+
+def test_line_eigenvalue_has_exactly_one_eigenvector():
+    _, le = defective_line_eigenvalue()
+    for vectors in ((), le.eigenvectors * 2):
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(le, eigenvectors=vectors)
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(le, chains=((), ()))
 
 
 def test_jordan_contrast_bisection(quarter_tip):
