@@ -11,6 +11,13 @@ import numpy as np
 
 import conetip as ct
 
+
+def show(z):
+    """``z`` to 6 decimals; a part that rounds to -0 (the sign of rounding
+    noise on a zero) prints as 0."""
+    return f"{round(z.real, 6) + 0.0:.6f}{round(z.imag, 6) + 0.0:+.6f}j"
+
+
 tip = ct.CapGeometry("internal", np.pi / 4)
 mat = ct.MaterialSpec.from_contrast(-0.5)
 
@@ -26,9 +33,9 @@ for p in points:
 
 fd = ct.finite_difference_slope(points)
 (_, dlp, dlm, _), = ct.perturbation_slope(P0, (P0.stiffness_one, P0.mass_one), le)
-print(f"\nfinite-difference slope : {fd:.6f}")
-print(f"perturbation formula    : {dlp:.6f}")
-print(f"conjugate branch slope  : {dlm:.6f}  (opposite real part)")
+print(f"\nfinite-difference slope : {show(fd)}")
+print(f"perturbation formula    : {show(dlp)}")
+print(f"conjugate branch slope  : {show(dlm)}  (opposite real part)")
 
 sel = ct.select_outgoing_by_absorption([le])
 branch = sel.branch(le.mode, le.eta)

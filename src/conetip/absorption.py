@@ -67,7 +67,7 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
     if cap.mode != le.mode or cap.n_dof != base.n:
         raise DimensionMismatch("cap does not match the line eigenvalue's pencil")
     m1 = base.mass_one
-    v_prev = np.asarray(le.eigenvectors[0], dtype=complex)
+    v_prev = np.asarray(le.vector, dtype=complex)
     Lam_prev = complex(le.Lambda)
     lam_prev = complex(-0.5, le.eta if branch == PLUS_BRANCH else -le.eta)
     points = []
@@ -127,7 +127,7 @@ def perturbation_slope(P0: PencilMatrices, P1_parts, le: LineEigenvalue):
     A1, B1 = P1_parts
     if le.eta <= ETA_MIN:
         raise PerturbationDegenerate("eta at the double-root guard")
-    phi = np.asarray(le.eigenvectors[0], dtype=complex)
+    phi = np.asarray(le.vector, dtype=complex)
     m = complex(phi @ _times(A1 - le.Lambda * B1, phi))
     g = complex(phi @ _times(P0.B, phi))
     if abs(g) < 1e-12 * max(1.0, abs(m)):
@@ -142,25 +142,25 @@ def perturbation_slope(P0: PencilMatrices, P1_parts, le: LineEigenvalue):
 class AbsorptionSelection:
     """Which exponent branch each conjugate pair selects under dissipation.
 
-    ``choices`` maps ``(mode, eta, k)`` to ``"plus"``, ``"minus"`` or
-    ``"ambiguous"``, with ``k`` the index of the slope (0 for the analytic
-    one); the selected branch is the one whose exponent moves to the
-    admissible side ``Re(lambda) > -1/2``.
+    ``choices`` maps the ``(mode, eta)`` of each line eigenvalue to
+    ``"plus"``, ``"minus"`` or ``"ambiguous"``, and ``slopes`` to the
+    ``dlambda_plus/ddelta`` it was decided on; the selected branch is the one
+    whose exponent moves to the admissible side ``Re(lambda) > -1/2``.
     """
 
     choices: dict
     slopes: dict
 
-    def branch(self, mode: int, eta: float, k: int = 0) -> str:
-        return self.choices[(mode, eta, k)]
+    def branch(self, mode: int, eta: float) -> str:
+        return self.choices[(mode, eta)]
 
 
 def select_outgoing_by_absorption(line_evs, slope_fn=None) -> AbsorptionSelection:
     """Per-pair branch selection from the perturbation slopes.
 
     ``line_evs`` is an iterable of line eigenvalues (each carrying its
-    pencil); ``slope_fn(le) -> [dlambda_plus, ...]`` may be supplied to select
-    from finite-difference trajectory slopes instead of the analytic formula.
+    pencil); ``slope_fn(le) -> dlambda_plus`` may be supplied to select from
+    a finite-difference trajectory slope instead of the analytic formula.
     Exactly one branch of each pair has ``Re(dlambda/ddelta) > 0`` unless the
     slope's real part falls inside the ambiguity band, which is flagged
     instead of forced.
@@ -168,21 +168,20 @@ def select_outgoing_by_absorption(line_evs, slope_fn=None) -> AbsorptionSelectio
     choices, slopes = {}, {}
     for le in line_evs:
         if slope_fn is not None:
-            branch_slopes = list(slope_fn(le))
+            dlp = slope_fn(le)
         else:
             P0 = le.pencil
-            branch_slopes = [dlp for (_, dlp, _, _) in perturbation_slope(
-                P0, (P0.stiffness_one, P0.mass_one), le)]
-        for k, dlp in enumerate(branch_slopes):
-            key = (le.mode, le.eta, k)
-            scale = max(abs(dlp), 1.0)
-            if dlp.real > SLOPE_AMBIGUOUS * scale:
-                choices[key] = PLUS_BRANCH
-            elif dlp.real < -SLOPE_AMBIGUOUS * scale:
-                choices[key] = MINUS_BRANCH
-            else:
-                choices[key] = AMBIGUOUS
-            slopes[key] = dlp
+            (_, dlp, _, _), = perturbation_slope(
+                P0, (P0.stiffness_one, P0.mass_one), le)
+        key = (le.mode, le.eta)
+        scale = max(abs(dlp), 1.0)
+        if dlp.real > SLOPE_AMBIGUOUS * scale:
+            choices[key] = PLUS_BRANCH
+        elif dlp.real < -SLOPE_AMBIGUOUS * scale:
+            choices[key] = MINUS_BRANCH
+        else:
+            choices[key] = AMBIGUOUS
+        slopes[key] = dlp
     return AbsorptionSelection(choices=choices, slopes=slopes)
 
 
@@ -223,8 +222,8 @@ def consistency_report(basis: MandelstamBasis, selection: AbsorptionSelection,
         # the selected field is the eigenvector's level-0 member on the
         # chosen branch (the conjugated one for the minus branch)
         conjugated = {PLUS_BRANCH: False, MINUS_BRANCH: True}.get(
-            selection.choices.get((le.mode, le.eta, 0)))
-        S = np.array([[m.indices[2] == 0 and m.conjugated == conjugated]
+            selection.choices.get(key))
+        S = np.array([[m.chain_level == 0 and m.conjugated == conjugated]
                       for m in (space.members[i] for i in idx)], dtype=complex)
         if not S.any():
             details[key] = {"angles": (), "note": "no unambiguous selection"}

@@ -119,8 +119,7 @@ def _run_basis(config: RunConfig, map_fn) -> ResultBundle:
     evs = _line_evs(config, map_fn)
     if not evs:
         raise ConfigError("no line eigenvalues: nothing to build a basis from")
-    space = flux.singular_space(evs, rho=config.sweep["rho"],
-                                sigma_tag=config.geometry["outer_bc"] or "")
+    space = flux.singular_space(evs, rho=config.sweep["rho"])
     fm = flux.flux_matrix(space)
     basis = flux.mandelstam_basis(fm)
     bundle = ResultBundle(config=config)
@@ -130,7 +129,7 @@ def _run_basis(config: RunConfig, map_fn) -> ResultBundle:
         "residual": basis.residual,
         "h_eigenvalues": list(basis.h_eigenvalues),
         "members": [{"mode": m.mode, "eta": m.eta,
-                     "chain_level": m.indices[2], "conjugated": m.conjugated}
+                     "chain_level": m.chain_level, "conjugated": m.conjugated}
                     for m in space.members],
         "flux_matrix": [[[fm.Q[i, j].real, fm.Q[i, j].imag]
                          for j in range(space.dim)] for i in range(space.dim)],
@@ -141,17 +140,15 @@ def _run_basis(config: RunConfig, map_fn) -> ResultBundle:
 def _run_trajectory(config: RunConfig, map_fn) -> ResultBundle:
     evs = _line_evs(config, map_fn)
     le = _first_simple(evs)
-    cap = build_cap(_geometry(config), _material(config), le.mode,
-                    config.mesh["elements"], config.mesh["order"])
-    points = absorption.trajectory(cap, le, config.sweep["delta_grid"])
+    points = absorption.trajectory(le.pencil.cap, le, config.sweep["delta_grid"])
     rows = [(p.delta, p.lam.real, p.lam.imag, p.overlap) for p in points]
     sel = absorption.select_outgoing_by_absorption(evs)
     bundle = ResultBundle(config=config)
     bundle.tables["trajectory"] = (
         ["delta", "re_lambda", "im_lambda", "overlap"], rows)
     bundle.documents["selection"] = {
-        "choices": {f"m={m},eta={eta:.12g},k={k}": v
-                    for (m, eta, k), v in sorted(sel.choices.items())},
+        "choices": {f"m={m},eta={eta:.12g}": v
+                    for (m, eta), v in sorted(sel.choices.items())},
         "mode": le.mode, "eta": le.eta}
     return bundle
 

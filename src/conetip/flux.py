@@ -33,7 +33,6 @@ from .errors import (DimensionMismatch, FluxLimitNonexistent,
                      SignatureMismatch)
 from .spectrum import LineEigenvalue
 
-POWER_MATCH_TOL = 1e-9
 LOG_COEFF_TOL = 1e-9
 FLUX_ANTIHERM_TOL = 1e-10
 FLUX_DEGENERACY_TOL = 1e-8
@@ -65,18 +64,18 @@ class LogPolynomial:
 class Hypersingularity:
     """One propagating singularity ``chi(r) * r^lam * (log-polynomial)``.
 
-    ``indices = (mode, 0, chain_level)`` records provenance (the middle
-    entry, the eigenvector index, is 0: a line eigenvalue has one); the
-    cutoff ``chi`` equals 1 for ``r <= cutoff_rho / 2`` and 0 beyond
-    ``cutoff_rho``, so all flux evaluations live where the field is an exact
-    power-log solution.
+    ``chain_level`` is the Jordan-chain level of the line eigenvalue of
+    ``mode`` it is built from (0 for the eigenvector itself); the cutoff
+    ``chi`` equals 1 for ``r <= cutoff_rho / 2`` and 0 beyond ``cutoff_rho``,
+    so all flux evaluations live where the field is an exact power-log
+    solution.
     """
 
     lam: complex
     eta: float
     poly: LogPolynomial
     cutoff_rho: float
-    indices: tuple
+    chain_level: int
     mode: int
     conjugated: bool
     pencil: PencilMatrices
@@ -92,7 +91,7 @@ def build_singularity(le: LineEigenvalue, chain_level: int = 0, rho: float = 1.0
     """
     if rho <= 0:
         raise DimensionMismatch("rho must be positive")
-    vectors = (*le.eigenvectors, *le.chains[0])
+    vectors = (le.vector, *le.chain)
     if not 0 <= chain_level < len(vectors):
         raise DimensionMismatch("chain level beyond available chain")
     coeffs = [vectors[chain_level - p] for p in range(chain_level + 1)]
@@ -103,7 +102,7 @@ def build_singularity(le: LineEigenvalue, chain_level: int = 0, rho: float = 1.0
     return Hypersingularity(lam=complex(lam), eta=le.eta,
                             poly=LogPolynomial(coeffs=tuple(coeffs)),
                             cutoff_rho=float(rho),
-                            indices=(le.mode, 0, chain_level),
+                            chain_level=chain_level,
                             mode=le.mode, conjugated=conjugate, pencil=le.pencil)
 
 
@@ -115,7 +114,6 @@ class SingularSpace:
     directly after its partner."""
 
     members: tuple
-    sigma_tag: str = ""
 
     @property
     def dim(self) -> int:
@@ -132,19 +130,19 @@ class SingularSpace:
         return out
 
 
-def singular_space(line_evs, rho: float = 1.0, sigma_tag: str = "") -> SingularSpace:
+def singular_space(line_evs, rho: float = 1.0) -> SingularSpace:
     """Collect the singular space of a list of line eigenvalues (any modes)."""
     members = []
     for le in sorted(line_evs, key=lambda l: (l.mode, l.eta)):
         if le.near_quarter:
             raise NearQuarterDegenerate(
                 f"eta={le.eta:.2e} too close to the double root")
-        for level in range(len(le.chains[0]) + 1):
+        for level in range(len(le.chain) + 1):
             members.append(build_singularity(le, level, rho, False))
             members.append(build_singularity(le, level, rho, True))
     if len(members) % 2:
         raise OddDimensionInternalError("singular space dimension is odd")
-    return SingularSpace(members=tuple(members), sigma_tag=sigma_tag)
+    return SingularSpace(members=tuple(members))
 
 
 def _check_provenance(u: Hypersingularity, v: Hypersingularity):
@@ -183,10 +181,11 @@ def _flux_polynomial(u: Hypersingularity, v: Hypersingularity):
 def flux_pairing(u: Hypersingularity, v: Hypersingularity) -> complex:
     """Closed-form flux limit ``q(u, v)``.
 
-    Fields of distinct azimuthal modes decouple exactly.  When the radial
-    powers match (``s = 0``) the limit is the constant coefficient of the
-    flux polynomial and all log coefficients must cancel; otherwise the whole
-    polynomial must cancel (cross-frequency orthogonality).  A surviving
+    Fields of distinct azimuthal modes decouple exactly.  The radial powers
+    match (``s = 0``, exactly) when both fields come from the same line
+    eigenvalue on the same branch; then the limit is the constant coefficient
+    of the flux polynomial and all log coefficients must cancel; otherwise
+    the whole polynomial must cancel (cross-frequency orthogonality).  A surviving
     coefficient means the limit does not exist, which signals an upstream
     multiplicity error.
     """
@@ -195,7 +194,7 @@ def flux_pairing(u: Hypersingularity, v: Hypersingularity) -> complex:
         return 0j
     s, R, mag = _flux_polynomial(u, v)
     tol = LOG_COEFF_TOL * np.maximum(1.0, mag)
-    if abs(s) < POWER_MATCH_TOL:
+    if s == 0:
         if np.any(np.abs(R[1:]) > tol[1:]):
             raise FluxLimitNonexistent(
                 f"log coefficients {np.abs(R[1:]).max():.2e} survive at matched power")
@@ -285,12 +284,11 @@ def flux_matrix(space: SingularSpace) -> FluxMatrix:
     for a, ua in enumerate(space.members):
         for b, vb in enumerate(space.members):
             Q[a, b] = flux_pairing(ua, vb)
-    scale = np.linalg.norm(Q, 2)
-    if scale == 0:
-        raise SignatureMismatch("flux form vanishes")
-    if np.linalg.norm(Q + Q.conj().T, 2) > FLUX_ANTIHERM_TOL * scale:
-        raise SignatureMismatch("flux matrix is not anti-Hermitian")
     sv = np.linalg.svd(Q, compute_uv=False)
+    if sv[0] == 0:
+        raise SignatureMismatch("flux form vanishes")
+    if np.linalg.norm(Q + Q.conj().T, 2) > FLUX_ANTIHERM_TOL * sv[0]:
+        raise SignatureMismatch("flux matrix is not anti-Hermitian")
     if sv[-1] <= FLUX_DEGENERACY_TOL * sv[0]:
         raise SignatureMismatch(f"flux form degenerate: sigma_min/sigma_max={sv[-1] / sv[0]:.2e}")
     fm = FluxMatrix(Q=Q, basis_ref=space)
@@ -385,14 +383,14 @@ class WaveClass:
     flux_value: complex
 
 
-def classify_wave(x: np.ndarray, fm: FluxMatrix,
-                  dead_band: float = CLASSIFY_DEAD_BAND) -> WaveClass:
-    """Outgoing / incoming / unclassified by the sign of ``Im q(u, u)``,
-    with a dead band around zero scaled to the combination's size."""
+def classify_wave(x: np.ndarray, fm: FluxMatrix) -> WaveClass:
+    """Outgoing / incoming / unclassified by the sign of ``Im q(u, u)``, with
+    a dead band ``CLASSIFY_DEAD_BAND`` around zero scaled to the
+    combination's size."""
     x = np.asarray(x, dtype=complex)
     q = fm.pair(x, x)
     scale = np.linalg.norm(fm.Q, 2) * float(np.real(np.conj(x) @ x))
-    band = dead_band * max(scale, 1e-300)
+    band = CLASSIFY_DEAD_BAND * max(scale, 1e-300)
     if q.imag > band:
         return WaveClass(OUTGOING, q)
     if q.imag < -band:

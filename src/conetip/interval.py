@@ -142,7 +142,7 @@ class CriticalInterval:
     dispersion curves' ranges away from and toward -1 (the latter clamped to
     the scan range), ``attaining_mode`` the mode reaching ``endpoint_outer``,
     ``per_mode`` the :func:`has_blackhole` witnesses at ``endpoint_inner``
-    and ``grid`` the eta samples.
+    and ``flags`` the caveats of the comparison.
     """
 
     alpha: float
@@ -151,9 +151,7 @@ class CriticalInterval:
     closed_form: float
     per_mode: dict
     attaining_mode: int
-    grid: tuple
     flags: tuple
-    bisect_tol: float
 
 
 def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
@@ -218,5 +216,4 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
                             endpoint_outer=float(endpoint_outer),
                             closed_form=float(closed),
                             per_mode=per_mode, attaining_mode=attaining,
-                            grid=tuple(etas.tolist()), flags=flags,
-                            bisect_tol=bisect_tol)
+                            flags=flags)

@@ -142,34 +142,30 @@ class LineEigenvalue:
     """A pencil eigenvalue on the energy line with its one eigenvector.
 
     ``eta > 0`` with ``lambda = -1/2 + i*eta`` and ``Lambda = -1/4 - eta**2``.
-    ``eigenvectors`` holds the single kernel vector ``phi`` (weight-one
-    normalized), ``gram`` the 1 x 1 sigma-weighted Gram ``[[phi^T B phi]]``
-    whose vanishing signals a Jordan chain, and ``chains`` the one tuple of
-    generalized vectors above ``phi`` (empty when the eigenvalue is
-    non-defective).  Any other number of eigenvectors or chains raises
-    ``DimensionMismatch``.
+    ``vector`` is the kernel vector ``phi`` (weight-one normalized), ``gram``
+    its sigma-weighted self-product ``phi^T B phi``, whose vanishing signals a
+    Jordan chain, and ``chain`` the generalized vectors above ``phi`` (empty
+    when the eigenvalue is non-defective).  The arrays are read-only.
     """
 
     eta: float
     Lambda: float
     mode: int
-    eigenvectors: tuple
-    gram: np.ndarray
+    vector: np.ndarray
+    gram: complex
     pencil: PencilMatrices
-    chains: tuple = ((),)
+    chain: tuple = ()
     near_quarter: bool = False
     jordan_ambiguous: bool = False
 
     def __post_init__(self):
-        if len(self.eigenvectors) != 1 or len(self.chains) != 1:
-            raise DimensionMismatch(
-                f"a line eigenvalue has one eigenvector and one chain, got "
-                f"{len(self.eigenvectors)} and {len(self.chains)}")
+        for v in (self.vector, *self.chain):
+            v.setflags(write=False)
 
     @property
     def multiplicity(self) -> int:
         """Geometric multiplicity, always 1."""
-        return len(self.eigenvectors)
+        return 1
 
     @property
     def lam(self) -> complex:
@@ -212,8 +208,8 @@ def line_eigenvalues(spec: SpectrumResult, tol: float = LINE_TOL) -> list:
         eta = float(np.sqrt(max(-lam_mean - 0.25, 0.0)))
         v = _normalize_one(min(cl, key=lambda p: p.residual).vector, P.mass_one)
         out.append(LineEigenvalue(
-            eta=eta, Lambda=lam_mean, mode=spec.mode, eigenvectors=(v,),
-            gram=np.array([[v @ _times(P.B, v)]]), pencil=P,
+            eta=eta, Lambda=lam_mean, mode=spec.mode, vector=v,
+            gram=complex(v @ _times(P.B, v)), pencil=P,
             near_quarter=eta < ETA_MIN))
     out.sort(key=lambda le: le.eta)
     return out
@@ -224,7 +220,7 @@ def jordan_indicator(le: LineEigenvalue) -> float:
     self-product of a weight-one normalized vector, norms by :func:`_norm`);
     values below ``JORDAN_THRESHOLD`` signal a Jordan chain."""
     P = le.pencil
-    return float(abs(le.gram[0, 0]) * _norm(P.mass_one) / _norm(P.B))
+    return float(abs(le.gram) * _norm(P.mass_one) / _norm(P.B))
 
 
 def jordan_chains(P: PencilMatrices, le: LineEigenvalue) -> LineEigenvalue:
@@ -245,7 +241,7 @@ def jordan_chains(P: PencilMatrices, le: LineEigenvalue) -> LineEigenvalue:
     chain = []
     if indicator < JORDAN_THRESHOLD:
         M = P.A - le.Lambda * P.B
-        prev2, prev1 = None, le.eigenvectors[0]
+        prev2, prev1 = None, le.vector
         while len(chain) < JORDAN_MAX_CHAIN - 1:
             rhs = 2j * le.eta * (P.B @ prev1)
             if prev2 is not None:
@@ -256,7 +252,7 @@ def jordan_chains(P: PencilMatrices, le: LineEigenvalue) -> LineEigenvalue:
                 break
             chain.append(x)
             prev2, prev1 = prev1, x
-    return replace(le, chains=(tuple(chain),), jordan_ambiguous=ambiguous)
+    return replace(le, chain=tuple(chain), jordan_ambiguous=ambiguous)
 
 
 @dataclass(frozen=True)
@@ -295,13 +291,14 @@ def _beta_error(pencil: PencilMatrices, pair: EigenPair) -> float:
 def spectral_weights(specs, bc_kind: str) -> SpectralWeights:
     """Weight exponent from a collection of per-mode spectra.
 
-    Both exponent roots of every eigenvalue are considered; eigenvalues within
-    ``LINE_TOL`` of the line are excluded so the weight measures off-line
-    spectrum only.  The selected eigenpair's error bound is reported as
-    ``beta_err``.  For ``"neumann"`` a ``beta`` within ``beta_err`` of 5/2 is
-    reported as exactly 5/2 (keeping its eigenvalue and bound), and one
-    certifiably above 5/2 as the bare cap, so the cap decision does not rest
-    on the sign of rounding noise.
+    Both exponent roots of every eigenvalue that :func:`classify_eigenvalue`
+    does not call ``"line"`` are considered, and of these the roots strictly
+    right of the line, so the weight measures off-line spectrum only.  The
+    selected eigenpair's error bound is reported as ``beta_err``.  For
+    ``"neumann"`` a ``beta`` within ``beta_err`` of 5/2 is reported as
+    exactly 5/2 (keeping its eigenvalue and bound), and one certifiably above
+    5/2 as the bare cap, so the cap decision does not rest on the sign of
+    rounding noise.
     """
     if bc_kind not in ("dirichlet", "neumann"):
         raise DimensionMismatch(f"unknown bc kind {bc_kind!r}")
@@ -309,10 +306,12 @@ def spectral_weights(specs, bc_kind: str) -> SpectralWeights:
     n_total = 0
     for spec in specs:
         for p, roots in zip(spec.pairs, spec.lambda_view):
+            n_total += 1
+            if classify_eigenvalue(p.Lambda) == "line":
+                continue
             for lam in roots:
-                n_total += 1
                 d = lam.real + 0.5
-                if d > LINE_TOL and d < best:
+                if 0.0 < d < best:
                     best, best_lam, best_at = d, lam, (spec.pencil, p)
     if n_total == 0:
         raise DimensionMismatch("empty spectrum")

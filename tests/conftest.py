@@ -97,7 +97,6 @@ def defective_line_eigenvalue(eta=1.0):
     P = defective_pencil(eta)
     phi = np.array([1.0 + 0j, 0.0])
     le = ct.LineEigenvalue(eta=eta, Lambda=-0.25 - eta * eta, mode=0,
-                           eigenvectors=(phi,),
-                           gram=np.array([[phi @ (P.B @ phi)]]),
-                           pencil=P, chains=((),))
+                           vector=phi, gram=complex(phi @ (P.B @ phi)),
+                           pencil=P)
     return P, le

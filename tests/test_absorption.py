@@ -69,7 +69,7 @@ def _qz_trajectory(cap, le, grid, branch):
     weight-one overlap with the previous vector; ``None`` once that overlap
     falls below OVERLAP_MIN."""
     m1 = ct.assemble_pencil(cap).mass_one
-    v = le.eigenvectors[0]
+    v = le.vector
     lam = le.lam if branch == PLUS_BRANCH else np.conj(le.lam)
     out = []
     for d in grid:
@@ -162,7 +162,7 @@ def test_selection_unique_and_stable(quarter_tip, critical_material, tracked):
     def fd_choice(grid):
         pts = ct.trajectory(cap, le, grid)
         return ct.select_outgoing_by_absorption(
-            [le], slope_fn=lambda _: [ct.finite_difference_slope(pts)])
+            [le], slope_fn=lambda _: ct.finite_difference_slope(pts))
 
     s1 = fd_choice(DELTAS)
     s2 = fd_choice([1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
@@ -181,9 +181,8 @@ def test_ambiguous_on_forced_symmetric_slope():
     B1 = np.eye(2)
     P = ct.PencilMatrices(A=A, B=B, stiffness_one=A1, mass_one=B1,
                           cap=None, delta=0.0)
-    le = ct.LineEigenvalue(eta=eta, Lambda=Lam, mode=0, eigenvectors=(phi,),
-                           gram=np.array([[phi @ (B @ phi)]]), pencil=P,
-                           chains=((),))
+    le = ct.LineEigenvalue(eta=eta, Lambda=Lam, mode=0, vector=phi,
+                           gram=complex(phi @ (B @ phi)), pencil=P)
     sel = ct.select_outgoing_by_absorption([le])
     assert list(sel.choices.values()) == [AMBIGUOUS]
 
@@ -209,8 +208,8 @@ def test_perturbation_degenerate_guard():
     P = ct.PencilMatrices(A=A, B=B, stiffness_one=np.eye(2), mass_one=np.eye(2),
                           cap=None, delta=0.0)
     phi = np.array([1.0 + 0j, 0.0])
-    le = ct.LineEigenvalue(eta=eta, Lambda=Lam, mode=0, eigenvectors=(phi,),
-                           gram=np.array([[0j]]), pencil=P, chains=((),))
+    le = ct.LineEigenvalue(eta=eta, Lambda=Lam, mode=0, vector=phi,
+                           gram=0j, pencil=P)
     with pytest.raises(PerturbationDegenerate):
         ct.perturbation_slope(P, (P.stiffness_one, P.mass_one), le)
 

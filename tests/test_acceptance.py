@@ -191,12 +191,12 @@ def test_criterion_7_limiting_absorption():
             def fd_sel(grid, le=le, cap=cap):
                 pts = ct.trajectory(cap, le, grid)
                 return ct.select_outgoing_by_absorption(
-                    [le], slope_fn=lambda _: [ct.finite_difference_slope(pts)])
+                    [le], slope_fn=lambda _: ct.finite_difference_slope(pts))
 
             s1 = fd_sel([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
             s2 = fd_sel([1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
             assert s1.choices == s2.choices
-            assert s1.choices[(le.mode, le.eta, 0)] == sel.choices[(le.mode, le.eta, 0)]
+            assert s1.choices[(le.mode, le.eta)] == sel.choices[(le.mode, le.eta)]
 
             basis = ct.mandelstam_basis(ct.flux_matrix(ct.singular_space(evs, 1.0)))
             verdicts[kappa] = ct.consistency_report(basis, sel, evs)

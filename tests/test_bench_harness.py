@@ -1,0 +1,64 @@
+"""The benchmark harness in ``perfbench/`` still runs against the package.
+
+The harness is loaded from its own directory, unedited.  Every function it
+traces must resolve under the name its tracer binds, and the small warm-up
+tasks of two workloads must pass their correctness gates, untraced and with
+every traced function wrapped (so the observation hooks read the public
+fields they rely on).
+"""
+
+import pathlib
+import sys
+
+import pytest
+
+import conetip as ct
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACED_MODULES = ("cap", "spectrum", "flux", "interval", "absorption", "io", "cli")
+
+
+@pytest.fixture(scope="module")
+def harness():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import layers
+        import run
+        import spans
+        import workloads
+        yield layers, run, spans, workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_every_traced_function_resolves(harness):
+    layers = harness[0]
+    targets = layers.targets(ct)
+    assert len(targets) >= 25
+    for fn, (name, _) in targets.items():
+        assert getattr(sys.modules[fn.__module__], fn.__name__) is fn, name
+        assert name.split(".")[0] in layers.LAYERS, name
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize("workload", ["absorption_flux", "interval_scan"])
+def test_warmup_tasks_pass_their_gates(harness, workload, traced, tmp_path):
+    layers, run, spans, workloads = harness
+    w = workloads.WORKLOADS[workload](ct, 1, tmp_path, 1)
+    runner = run.Runner()
+    tracer = spans.Tracer() if traced else None
+    if traced:
+        tracer.install([ct] + [getattr(ct, m) for m in TRACED_MODULES],
+                       layers.targets(ct))
+    try:
+        results = [runner.run(task, tracer, i) for i, task in enumerate(w.warmup)]
+    finally:
+        if traced:
+            tracer.uninstall()
+    assert w.warmup and runner.failed == 0, runner.failures
+    assert all(values is not None for _, values in results)
+    if traced:
+        assert tracer.spans
+        observed = {"absorption_flux": ("pairs_used", "slope.margin", "jordan.margin"),
+                    "interval_scan": ("probe.hit", "write.bytes")}[workload]
+        assert all(tracer.obs[key] for key in observed)

@@ -85,7 +85,7 @@ def test_cross_eta_sigma_orthogonality(multi_eta_evs):
     a, b = pair[0], pair[1]
     assert a.eta != b.eta
     cap = a.pencil.cap
-    val = ct.angular_gram(cap, a.eigenvectors[0], b.eigenvectors[0], "sigma")
+    val = ct.angular_gram(cap, a.vector, b.vector, "sigma")
     assert abs(val) < 1e-7
 
 

@@ -170,6 +170,10 @@ def test_trajectory_csv_contract(tmp_path):
     lines = outputs[0]["trajectory.csv"].decode().splitlines()
     assert lines[0] == "delta,re_lambda,im_lambda,overlap"
     assert len(lines) == 1 + 4  # undamped point + grid
+    # one choice per line eigenvalue, keyed by its mode and eta
+    selection = json.loads(outputs[0]["selection.json"])
+    assert list(selection["choices"]) == [f"m=0,eta={selection['eta']:.12g}"]
+    assert selection["choices"][f"m=0,eta={selection['eta']:.12g}"] in ("plus", "minus")
 
 
 def test_module_entry_point_is_quiet():

@@ -9,9 +9,10 @@ DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.p
 
 # a line each demo prints only when its pipeline reached the end
 LAST_FINDING = {
-    "01_symbol_spectrum": "Hausdorff distance spectrum vs conjugate",
+    "01_symbol_spectrum": "Hausdorff distance spectrum vs conjugate below 1e-8: True",
     "02_critical_interval": "line eigenvalue(s)",
-    "03_blackhole_flux": "trapped energy, equal outgoing and incoming amplitudes",
+    "03_blackhole_flux": "trapped energy, equal outgoing and incoming amplitudes, "
+                         "below 1e-12 in size: True",
     "04_limiting_absorption": "agreement with the flux selection: True",
     "05_energy_blowup": "linear growth: slope",
 }

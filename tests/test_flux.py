@@ -28,8 +28,8 @@ def test_jordan_singularity_coefficients():
     le = ct.jordan_chains(P, le0)
     s1 = ct.build_singularity(le, chain_level=1, rho=1.0)
     assert s1.poly.degree == 1
-    assert np.array_equal(s1.poly.coeffs[1], le.eigenvectors[0])
-    assert np.array_equal(s1.poly.coeffs[0], le.chains[0][0])
+    assert np.array_equal(s1.poly.coeffs[1], le.vector)
+    assert np.array_equal(s1.poly.coeffs[0], le.chain[0])
 
 
 def test_space_dimensions(line_evs, multi_eta_evs):
@@ -114,7 +114,7 @@ def test_log_algebra_against_oracle(line_evs):
     # log bookkeeping of the closed form pointwise, no limit extraction
     le = line_evs[0]
     rng = np.random.default_rng(7)
-    n = len(le.eigenvectors[0])
+    n = len(le.vector)
     poly_u = ct.LogPolynomial(coeffs=(rng.standard_normal(n), rng.standard_normal(n)))
     poly_v = ct.LogPolynomial(coeffs=(rng.standard_normal(n), rng.standard_normal(n)))
     u = replace(ct.build_singularity(le, rho=1.0), poly=poly_u)
@@ -134,7 +134,7 @@ def test_jordan_block_flux():
     assert space.dim == 4
     fm = ct.flux_matrix(space)
     s0_idx = next(i for i, m in enumerate(space.members)
-                  if m.indices[2] == 0 and not m.conjugated)
+                  if m.chain_level == 0 and not m.conjugated)
     assert abs(fm.Q[s0_idx, s0_idx]) < 1e-12
     basis = ct.mandelstam_basis(fm)
     assert basis.residual < 1e-10
@@ -149,18 +149,17 @@ def test_length_three_chain_flux():
     P = ct.PencilMatrices(A=A, B=B, stiffness_one=np.eye(3), mass_one=np.eye(3),
                           cap=None, delta=0.0)
     phi = np.array([1. + 0j, 0, 0])
-    le = ct.LineEigenvalue(eta=eta, Lambda=Lam, mode=0, eigenvectors=(phi,),
-                           gram=np.array([[phi @ (B @ phi)]]), pencil=P,
-                           chains=((),))
+    le = ct.LineEigenvalue(eta=eta, Lambda=Lam, mode=0, vector=phi,
+                           gram=complex(phi @ (B @ phi)), pencil=P)
     out = ct.jordan_chains(P, le)
-    assert len(out.chains[0]) == 2
-    x1, x2 = out.chains[0]
+    assert len(out.chain) == 2
+    x1, x2 = out.chain
     M = A - Lam * B
     assert np.linalg.norm(M @ x1 - 2j * eta * (B @ phi)) < 1e-12
     assert np.linalg.norm(M @ x2 - 2j * eta * (B @ x1) - B @ phi) < 1e-12
     space = ct.singular_space([out], rho=1.0)
     assert space.dim == 6
-    s2 = next(m for m in space.members if m.indices[2] == 2 and not m.conjugated)
+    s2 = next(m for m in space.members if m.chain_level == 2 and not m.conjugated)
     assert s2.poly.degree == 2
     fm = ct.flux_matrix(space)
     evals = np.linalg.eigvalsh(fm.hermitian_part)
@@ -174,8 +173,7 @@ def test_flux_limit_nonexistent_raises():
     from conetip.errors import FluxLimitNonexistent
     P, le0 = defective_line_eigenvalue(1.0)
     le = ct.jordan_chains(P, le0)
-    bad_chain = (le.chains[0][0] + np.array([0.0, 0.7]),)
-    bad = replace(le, chains=(bad_chain,))
+    bad = replace(le, chain=(le.chain[0] + np.array([0.0, 0.7]),))
     s1 = ct.build_singularity(bad, chain_level=1, rho=1.0)
     with pytest.raises(FluxLimitNonexistent):
         ct.flux_pairing(s1, s1)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import conetip as ct
 from conetip.errors import DimensionMismatch, NotApplicableDissipative
-from conetip.spectrum import RESIDUAL_TOL, _normalize_one
+from conetip.spectrum import RESIDUAL_TOL, _normalize_one, classify_eigenvalue
 
 from conftest import defective_line_eigenvalue, defective_pencil
 
@@ -178,7 +178,7 @@ def test_eigenvector_normalization(critical_spectrum):
 def test_generic_contrast_has_no_chains(line_evs):
     for le in line_evs:
         out = ct.jordan_chains(le.pencil, le)
-        assert all(c == () for c in out.chains)
+        assert out.chain == ()
         # the chain criterion integral is nonzero
         assert ct.jordan_indicator(le) > 1e-6
 
@@ -188,9 +188,9 @@ def test_synthetic_defective_chain():
     P, le = defective_line_eigenvalue(eta)
     assert ct.jordan_indicator(le) < 1e-12
     out = ct.jordan_chains(P, le)
-    assert len(out.chains[0]) == 1  # chain of length exactly 2
-    phi0 = out.eigenvectors[0]
-    phi1 = out.chains[0][0]
+    assert len(out.chain) == 1  # chain of length exactly 2
+    phi0 = out.vector
+    phi1 = out.chain[0]
     res = np.linalg.norm((P.A - le.Lambda * P.B) @ phi1 - 2j * eta * (P.B @ phi0))
     assert res / np.linalg.norm(P.B @ phi0) < 1e-8
 
@@ -203,11 +203,11 @@ def test_solved_defective_pencil_has_one_eigenvector_and_a_chain():
     (le,) = ct.line_eigenvalues(ct.solve_pencil(P))
     assert le.multiplicity == 1
     M = P.A - le.Lambda * P.B
-    phi0 = le.eigenvectors[0]
+    phi0 = le.vector
     assert np.linalg.norm(M @ phi0) < 1e-12
     out = ct.jordan_chains(P, le)
-    assert len(out.chains[0]) == 1
-    phi1 = out.chains[0][0]
+    assert len(out.chain) == 1
+    phi1 = out.chain[0]
     assert np.linalg.norm(M @ phi1 - 2j * eta * (P.B @ phi0)) < 1e-12
     space = ct.singular_space([out], rho=1.0)
     assert space.dim == 4
@@ -238,13 +238,15 @@ def test_line_eigenvalues_are_geometrically_simple(geometry):
     assert count >= 8
 
 
-def test_line_eigenvalue_has_exactly_one_eigenvector():
-    _, le = defective_line_eigenvalue()
-    for vectors in ((), le.eigenvectors * 2):
-        with pytest.raises(DimensionMismatch):
-            dataclasses.replace(le, eigenvectors=vectors)
-    with pytest.raises(DimensionMismatch):
-        dataclasses.replace(le, chains=((), ()))
+def test_line_eigenvalue_arrays_are_read_only():
+    # the vector and chain a record holds cannot be changed behind it
+    P, le = defective_line_eigenvalue()
+    out = ct.jordan_chains(P, le)
+    (solved,) = ct.line_eigenvalues(ct.solve_pencil(P))
+    assert len(out.chain) == 1 and solved.multiplicity == 1
+    for v in (le.vector, out.vector, *out.chain, solved.vector):
+        with pytest.raises(ValueError):
+            v[0] = 0.0
 
 
 def test_jordan_contrast_bisection(quarter_tip):
@@ -316,6 +318,29 @@ def test_weight_star_certifiably_below_cap():
     assert_allclose(record["cap_margin_dec"], 5.0)
 
 
+def _near_line_spectrum(im_Lambda):
+    # a real 2x2 pencil with the conjugate pair Lambda = -5/4 +- i im_Lambda
+    A = np.array([[-1.25, im_Lambda], [im_Lambda, 1.25]])
+    P = ct.PencilMatrices(A=A, B=np.diag([1.0, -1.0]), stiffness_one=np.eye(2),
+                          mass_one=np.eye(2), cap=None)
+    return ct.solve_pencil(P)
+
+
+def test_weights_skip_exactly_the_line_eigenvalues():
+    # 1.5e-6 is above LINE_TOL * 5/4: the pair is "complex", and its root
+    # -1/2 + 7.5e-7 + i (Re sqrt(-1 + i b) = b/2 to first order) is the weight
+    spec = _near_line_spectrum(1.5e-6)
+    assert [classify_eigenvalue(L) for L in spec.Lambdas] == ["complex"] * 2
+    w = ct.spectral_weights([spec], "dirichlet")
+    assert_allclose(w.beta, 7.5e-7, rtol=1e-6)
+    # 5e-7 is below it: the pair is "line" and leaves no spectrum right of it
+    spec = _near_line_spectrum(5e-7)
+    assert [classify_eigenvalue(L) for L in spec.Lambdas] == ["line"] * 2
+    with pytest.raises(DimensionMismatch):
+        ct.spectral_weights([spec], "dirichlet")
+    assert ct.spectral_weights([spec], "neumann").beta == 2.5
+
+
 def _one_pair_spectrum(Lambda, offset=0.0, coupling=1e-10):
     # a 2x2 pencil with eigenvalue ~Lambda whose stored eigenpair
     # (Lambda + offset, e_0) has residual ~coupling, so its certified beta
@@ -385,6 +410,6 @@ def test_cross_eta_orthogonality_after_normalization(multi_eta_evs):
         by_mode.setdefault(le.mode, []).append(le)
     pair = next(v for v in by_mode.values() if len(v) >= 2)
     B = pair[0].pencil.B
-    v1 = pair[0].eigenvectors[0]
-    v2 = pair[1].eigenvectors[0]
+    v1 = pair[0].vector
+    v2 = pair[1].vector
     assert abs(v1 @ (B @ np.conj(v2))) < 1e-7
