@@ -97,16 +97,16 @@ def _run_aleph(config: RunConfig, map_fn) -> ResultBundle:
 
 
 def _run_weights(config: RunConfig, map_fn) -> ResultBundle:
-    geometry = _geometry(config)
+    geometry, tol = _geometry(config), config.sweep["line_tol"]
     if geometry.kind == "boundary":
         # the rim condition is part of the geometry: solve both variants
         wd, wn = (spectral_weights(_mode_spectra(
-            config, map_fn, replace(geometry, outer_bc=bc)), bc)
+            config, map_fn, replace(geometry, outer_bc=bc)), bc, tol)
             for bc in ("dirichlet", "neumann"))
     else:
         specs = _mode_spectra(config, map_fn)
-        wd = spectral_weights(specs, "dirichlet")
-        wn = spectral_weights(specs, "neumann")
+        wd = spectral_weights(specs, "dirichlet", tol)
+        wn = spectral_weights(specs, "neumann", tol)
     star, record = weight_star(wd, wn)
     bundle = ResultBundle(config=config)
     bundle.documents["weights"] = {

@@ -10,7 +10,7 @@ where ``c2 = cos(a/2)^2``, ``s2 = sin(a/2)^2`` and F is Gauss's hypergeometric
 series.  ``aleph`` satisfies ``aleph(a) * aleph(pi - a) = 1`` and equals 1 at
 the half-aperture ``pi/2``.  :func:`scan_interval` finds the same interval as
 the union of the ranges of the per-mode dispersion curves ``kappa_m(eta)``;
-:func:`has_blackhole` is the independent QZ check of one contrast.
+:func:`has_blackhole` is the independent full-spectrum check of one contrast.
 """
 
 from __future__ import annotations

@@ -1,17 +1,23 @@
 """Generalized eigensolve of the symbol pencil and the energy-line machinery.
 
 The pencil ``A f = Lambda B f`` has complex symmetric matrices and an
-indefinite weight, so the eigensolve is one dense QZ (no symmetry shortcuts)
-certified by :func:`_backward_error`.  Eigenvalues map to singular exponents
-through ``Lambda = lambda*(lambda+1)``; eigenvalues with real
-``Lambda < -1/4`` sit on the energy line ``Re(lambda) = -1/2`` and generate
-propagating (black-hole) singularities.  At such a ``Lambda`` both region
-blocks are definite on their interior dofs, so a kernel vector is fixed by its
-interface value and each line eigenvalue has exactly one eigenvector.  This
-module detects line eigenvalues, grows a Jordan chain above the eigenvector
-when its sigma-weighted self-product ``phi^T B phi`` vanishes (a fold of the
-dispersion relation, where the Krein sign changes), and derives radial weight
-exponents from the spectrum right of the line.
+indefinite weight.  Its coefficient is constant on each side of the interface
+dof, so the pencil is the kappa-independent weight-one pencil
+``(stiffness_one, mass_one)`` plus one rank-one row: a cap's pencil is solved
+from the symmetric weight-one eigenbasis and a diagonal-plus-rank-one
+eigenproblem, and every pair is certified by :func:`_backward_error`.  Dense
+QZ solves the hand-built pencils without a cap and is the tests' oracle.
+
+Eigenvalues map to singular exponents through ``Lambda = lambda*(lambda+1)``;
+eigenvalues with real ``Lambda < -1/4`` sit on the energy line
+``Re(lambda) = -1/2`` and generate propagating (black-hole) singularities.
+At such a ``Lambda`` both region blocks are definite on their interior dofs,
+so a kernel vector is fixed by its interface value and each line eigenvalue
+has exactly one eigenvector.  This module detects line eigenvalues, grows a
+Jordan chain above the eigenvector when its sigma-weighted self-product
+``phi^T B phi`` vanishes (a fold of the dispersion relation, where the Krein
+sign changes), and derives radial weight exponents from the spectrum right of
+the line.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .cap import PencilMatrices
+from .cap import PencilMatrices, _band
 from .errors import DimensionMismatch, NotApplicableDissipative
 
 RESIDUAL_TOL = 1e-8
@@ -93,11 +99,16 @@ def _normalize_one(V: np.ndarray, m1: np.ndarray) -> np.ndarray:
     norm and rotate its largest entry onto the positive real axis (its
     imaginary part, at rounding level after the rotation, is zeroed)."""
     W = np.array(V, dtype=complex, order="C").reshape(len(V), -1)
+    _normalize_columns(W, m1)
+    return W.reshape(np.shape(V))
+
+
+def _normalize_columns(W: np.ndarray, m1: np.ndarray) -> None:
+    """:func:`_normalize_one` in place on the C-contiguous complex block ``W``."""
     W /= np.sqrt(_col_dot(W, _times(m1, W)))
     top = (np.argmax(np.abs(W), axis=0), np.arange(W.shape[1]))
     W *= np.conj(W[top]) / np.abs(W[top])
     W[top] = W[top].real
-    return W.reshape(np.shape(V))
 
 
 def _backward_error(A, B, V, Lams):
@@ -111,20 +122,38 @@ def _backward_error(A, B, V, Lams):
 
 
 def solve_pencil(P: PencilMatrices) -> SpectrumResult:
-    """Solve ``A v = Lambda B v`` by dense QZ (B is never inverted).
+    """Solve ``A v = Lambda B v`` (B is never inverted).
 
-    Eigenvectors are normalized by :func:`_normalize_one`; a pair is kept when
-    its :func:`_backward_error` is below ``RESIDUAL_TOL`` (the rest, infinite
-    eigenvalues included, count in ``n_rejected``).  Pairs are sorted by real
-    part, then by the sign of the imaginary part.  LAPACK returns a conjugate
-    pair of a real pencil adjacently, ``Im > 0`` first, with real parts that
-    may differ in the last bits, so both members are sorted by their mean.
+    A pencil assembled from a cap is solved through its kappa-independent
+    weight-one eigenbasis (:func:`_weight_one_solve`); a hand-built pencil
+    (``cap=None``) by dense QZ, which is also the oracle the tests hold the
+    first against.  Eigenvectors are normalized by :func:`_normalize_one`; a
+    pair is kept when its :func:`_backward_error` is below ``RESIDUAL_TOL``.
+    On the weight-one path a pair above it gets one inverse-iteration step at
+    its eigenvalue (:func:`_inverse_step`) and is certified again; the pairs
+    that still fail, and QZ's infinite eigenvalues, count in ``n_rejected``.
+    Pairs are sorted by real part, then by the sign of the imaginary part.
+    LAPACK returns a conjugate pair of a real pencil (or of the real matrix
+    of the weight-one path) adjacently, ``Im > 0`` first, with real parts
+    that may differ in the last bits, so both members are sorted by their
+    mean.
     """
-    w, V = scipy.linalg.eig(P.A, P.B)
-    finite = np.isfinite(w)
-    w = np.where(finite, w, 0.0)
-    V = _normalize_one(V, P.mass_one)
-    res = _backward_error(P.A, P.B, V, w)
+    if P.cap is None:
+        w, V = scipy.linalg.eig(P.A, P.B)
+        finite = np.isfinite(w)
+        w = np.where(finite, w, 0.0)
+        V = _normalize_one(V, P.mass_one)
+        res = _backward_error(P.A, P.B, V, w)
+    else:
+        w, V = _weight_one_solve(P)
+        finite = True
+        _normalize_columns(V, P.mass_one)
+        res = _backward_error(P.A, P.B, V, w)
+        for j in np.flatnonzero(~(res < RESIDUAL_TOL)):
+            x = _inverse_step(P, w[j], V[:, j])
+            if x is not None:
+                V[:, j] = x = _normalize_one(x, P.mass_one)
+                res[j] = _backward_error(P.A, P.B, x[:, None], w[j])[0]
     keep = finite & (res < RESIDUAL_TOL)
     re = w.real.copy()
     if np.isrealobj(P.A) and np.isrealobj(P.B):
@@ -135,6 +164,87 @@ def solve_pencil(P: PencilMatrices) -> SpectrumResult:
                   for j in np.lexsort((np.sign(w.imag), re)) if keep[j])
     return SpectrumResult(pairs=pairs, mode=P.cap.mode if P.cap else -1,
                           pencil=P, n_rejected=int(np.count_nonzero(~keep)))
+
+
+def _weight_one_solve(P: PencilMatrices):
+    """Eigenvalues and (unnormalized, C-contiguous) eigenvectors of a cap's
+    pencil from the eigenbasis of its weight-one pencil.
+
+    Rows of ``A - Lambda B`` below the interface dof ``p`` are ``s_minus``
+    times those of ``K1 - Lambda M1`` (``stiffness_one``, ``mass_one``) and
+    rows above it ``s_plus`` times, with ``s = sigma + i delta``.  Dividing
+    these factors out leaves ``K1 - Lambda M1 + e_p (a - Lambda b)^T``, with
+    ``a`` and ``b`` read from row ``p`` of the pencil itself.  With
+    ``K1 V = M1 V diag(mu)``, ``V^T M1 V = I`` (one Cholesky factor of M1,
+    one symmetric eigensolve, independent of kappa and delta) and
+    ``u = V[p]``, the eigenvalues are those of ``diag(mu) + gamma u w^T``,
+    ``w = V^T a - mu V^T b``, ``gamma = 1 / (1 + u . V^T b)``: ``mu`` itself
+    at ``kappa = 1``, where ``w = 0``.  The eigenvector of ``Lambda_j`` is
+    ``V y`` with the Cauchy vector ``y = u / (mu - Lambda_j)``, all of them
+    from one product.
+
+    The entry of ``y`` at the pole ``mu_i`` nearest to ``Lambda_j`` loses its
+    digits as ``mu_i - Lambda_j`` approaches the eigenvalue's rounding error.
+    It is then taken from the secular equation ``gamma w^T y = -1`` instead,
+    when that formula has the smaller relative error bound (cancellation in
+    its sum against ``|Lambda_j| / |mu_i - Lambda_j|``).  So a component with
+    ``u_i`` near 0 deflates to ``v_i`` plus the coupling to the other
+    components, and an exactly vanishing ``mu_i - Lambda_j`` gives ``v_i``.
+
+    Every dense step runs in numpy's BLAS: numpy and scipy ship one OpenBLAS
+    each, with its own worker threads, and handing the CPU from one to the
+    other between large products stalls.
+    """
+    cap, K1, M1 = P.cap, P.stiffness_one, P.mass_one
+    p = int(np.searchsorted(cap.dof_map,
+                            cap.mesh.element_order * cap.mesh.interface_index))
+    s_plus = cap.material.sigma_plus + (1j * P.delta if P.delta else 0.0)
+    ab = np.stack([P.A[p], P.B[p]]) / s_plus - np.stack([K1[p], M1[p]])
+    mu, V = _weight_one_basis(K1, M1)
+    Vab = ab.real @ V + 1j * (ab.imag @ V) if np.iscomplexobj(ab) else ab @ V
+    u, w = V[p], Vab[0] - mu * Vab[1]
+    gamma = 1.0 / (1.0 + Vab[1] @ u)
+    Lams = (np.linalg.eigvals(np.diag(mu) + gamma * np.outer(u, w)) if w.any()
+            else mu).astype(complex)
+    cols = np.arange(len(mu))
+    # the pole nearest to each Lambda_j (mu is real and ascending)
+    i = np.clip(np.searchsorted(mu, Lams.real), 1, len(mu) - 1)
+    i -= np.abs(mu[i - 1] - Lams) < np.abs(mu[i] - Lams)
+    gap = mu[i] - Lams
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Y = np.subtract(mu[:, None], Lams)
+        np.divide(u[:, None], Y, out=Y)
+        w_pole = w[i] * Y[i, cols]
+        num = -1.0 / gamma - (w @ Y - w_pole)
+        bound = (abs(1.0 / gamma) + np.abs(w) @ np.abs(Y) - abs(w_pole)) / abs(num)
+        y_sec = num / w[i]
+        sec = (bound < abs(Lams) / abs(gap)) & np.isfinite(y_sec)
+    Y[i[sec], cols[sec]] = y_sec[sec]
+    exact = gap == 0
+    Y[:, exact] = 0.0
+    Y[i[exact], cols[exact]] = 1.0
+    return Lams, _times(V, Y)
+
+
+def _weight_one_basis(K1: np.ndarray, M1: np.ndarray):
+    """``(mu, V)`` with ``K1 V = M1 V diag(mu)``, ``V^T M1 V = I``, ``mu``
+    ascending: one symmetric eigensolve of ``L^-1 K1 L^-T``, ``M1 = L L^T``."""
+    L = np.linalg.cholesky(M1)
+    mu, Q = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, K1).T))
+    return mu, np.linalg.solve(L.T, Q)
+
+
+def _inverse_step(P: PencilMatrices, Lam: complex, v: np.ndarray):
+    """One inverse-iteration step ``(A - Lam B) x = B v`` at the fixed shift
+    ``Lam``, by a banded LU (half-bandwidth = element order); None when the
+    shifted matrix is exactly singular."""
+    u = P.cap.mesh.element_order
+    try:
+        return scipy.linalg.solve_banded(
+            (u, u), _band(P.A, u) - Lam * _band(P.B, u),
+            _times(P.B, np.ascontiguousarray(v)), check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -186,11 +296,11 @@ def line_eigenvalues(spec: SpectrumResult, tol: float = LINE_TOL) -> list:
 
     An eigenvalue qualifies when :func:`classify_eigenvalue` calls it
     ``"line"``.  Eigenvalues closer than ``tol`` (relative) are one line
-    eigenvalue (QZ splits an exact Jordan pair by about 1e-8): ``Lambda`` is
-    their mean and the eigenvector that of the member with the smallest
-    residual (the first on ties).  Line eigenvalues with ``eta < ETA_MIN``
-    are flagged ``near_quarter`` (the double root ``lambda = -1/2`` is
-    special-cased out of basis construction downstream).
+    eigenvalue (an eigensolver splits an exact Jordan pair by about 1e-8):
+    ``Lambda`` is their mean and the eigenvector that of the member with the
+    smallest residual (the first on ties).  Line eigenvalues with
+    ``eta < ETA_MIN`` are flagged ``near_quarter`` (the double root
+    ``lambda = -1/2`` is special-cased out of basis construction downstream).
     """
     cands = [p for p in spec.pairs if classify_eigenvalue(p.Lambda, tol) == "line"]
     cands.sort(key=lambda p: p.Lambda.real)
@@ -288,17 +398,17 @@ def _beta_error(pencil: PencilMatrices, pair: EigenPair) -> float:
     return float(d_Lambda / (2.0 * abs(np.sqrt(Lam + 0.25))))
 
 
-def spectral_weights(specs, bc_kind: str) -> SpectralWeights:
+def spectral_weights(specs, bc_kind: str, tol: float = LINE_TOL) -> SpectralWeights:
     """Weight exponent from a collection of per-mode spectra.
 
     Both exponent roots of every eigenvalue that :func:`classify_eigenvalue`
-    does not call ``"line"`` are considered, and of these the roots strictly
-    right of the line, so the weight measures off-line spectrum only.  The
-    selected eigenpair's error bound is reported as ``beta_err``.  For
-    ``"neumann"`` a ``beta`` within ``beta_err`` of 5/2 is reported as
-    exactly 5/2 (keeping its eigenvalue and bound), and one certifiably above
-    5/2 as the bare cap, so the cap decision does not rest on the sign of
-    rounding noise.
+    does not call ``"line"`` at ``tol`` are considered, and of these the roots
+    strictly right of the line, so the weight measures off-line spectrum only.
+    The selected eigenpair's error bound is reported as ``beta_err``.  For
+    ``"neumann"`` a ``beta`` within ``beta_err`` of 5/2 is reported as exactly
+    5/2 (keeping its eigenvalue and bound), and one certifiably above 5/2 as
+    the bare cap, so the cap decision does not rest on the sign of rounding
+    noise.
     """
     if bc_kind not in ("dirichlet", "neumann"):
         raise DimensionMismatch(f"unknown bc kind {bc_kind!r}")
@@ -307,7 +417,7 @@ def spectral_weights(specs, bc_kind: str) -> SpectralWeights:
     for spec in specs:
         for p, roots in zip(spec.pairs, spec.lambda_view):
             n_total += 1
-            if classify_eigenvalue(p.Lambda) == "line":
+            if classify_eigenvalue(p.Lambda, tol) == "line":
                 continue
             for lam in roots:
                 d = lam.real + 0.5

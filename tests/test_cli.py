@@ -51,6 +51,10 @@ def test_parse_rejects_unknown_keys():
     bad2["grids"] = {}
     with pytest.raises(ConfigError, match="grids"):
         parse_config(json.dumps(bad2))
+    # sweep.omega was accepted and hashed, but no subcommand read it
+    bad["sweep"] = {"omega": 1.0}
+    with pytest.raises(ConfigError, match="omega"):
+        parse_config(json.dumps(bad))
 
 
 @pytest.mark.parametrize("block, value, where", [
@@ -234,6 +238,25 @@ def test_basis_weights_blowup_bundles(tmp_path):
     assert bundle.documents["blowup"]["r_squared"] > 0.999
     lines = (tmp_path / "blowup.csv").read_text().splitlines()
     assert lines[0] == "n,grad_norm_sq"
+
+
+def test_weights_command_takes_line_tol(monkeypatch):
+    seen = []
+    weights = ct.cli.spectral_weights
+
+    def spy(specs, bc_kind, tol):
+        seen.append(tol)
+        return weights(specs, bc_kind, tol)
+
+    monkeypatch.setattr(ct.cli, "spectral_weights", spy)
+    for geometry in ({"kind": "internal", "alpha": np.pi / 4},
+                     {"kind": "boundary", "alpha": np.pi / 4,
+                      "alpha_outer": np.pi / 2, "outer_bc": "dirichlet"}):
+        run_command(parse_config(json.dumps({
+            "subcommand": "weights", "geometry": geometry,
+            "material": {"kappa": 1.0}, "modes": [0, 1],
+            "mesh": {"elements": 16, "order": 2}, "sweep": {"line_tol": 1e-5}})))
+    assert seen == [1e-5] * 4
 
 
 def test_cli_main_errors(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import conetip as ct
+from conetip import spectrum
 from conetip.errors import DimensionMismatch, NotApplicableDissipative
 from conetip.spectrum import RESIDUAL_TOL, _normalize_one, classify_eigenvalue
 
@@ -66,6 +67,9 @@ def test_solve_matches_per_vector_reference(critical_material):
             geometries, (1, 2), (0, 1, 2), (0.0, 1e-3)):
         cap = ct.build_cap(g, critical_material, mode, 24, order)
         P = ct.assemble_dissipative_pencil(cap, delta) if delta else ct.assemble_pencil(cap)
+        # a pencil without a cap goes through the QZ body, the oracle of the
+        # weight-one solve (see test_weight_one_solve_matches_qz)
+        P = dataclasses.replace(P, cap=None)
         spec = ct.solve_pencil(P)
         ref, n_rejected = _per_vector_reference(P)
         assert spec.n_rejected == n_rejected
@@ -77,6 +81,69 @@ def test_solve_matches_per_vector_reference(critical_material):
             assert np.abs(v - v_ref).max() < 1e-13
             # column-norm bounds never exceed the 2-norms: never looser
             assert res >= res_ref
+
+
+_ORACLE_GEOMETRIES = [
+    ct.CapGeometry("internal", np.pi / 4), ct.CapGeometry("internal", 1.1),
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=np.pi / 2, outer_bc="dirichlet"),
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=3 * np.pi / 4, outer_bc="neumann")]
+
+
+def _assert_matches_qz(P):
+    # the weight-one solve against the QZ body on the same matrices: same
+    # kept and rejected counts, eigenvalues in the same order, residuals at
+    # QZ's level, and each vector inside the span of QZ's vectors of its
+    # eigenvalue (a span: on a mirror-symmetric mesh one eigenvalue can be
+    # double, and any basis of its eigenspace is then right)
+    spec, qz = ct.solve_pencil(P), ct.solve_pencil(dataclasses.replace(P, cap=None))
+    assert (len(spec.pairs), spec.n_rejected) == (len(qz.pairs), qz.n_rejected)
+    Lams, Lams_qz = spec.Lambdas, qz.Lambdas
+    scale = np.maximum(1.0, np.abs(Lams_qz))
+    assert np.all(np.abs(Lams - Lams_qz) <= 1e-9 * scale)
+    assert max(p.residual for p in spec.pairs) <= 1e-9
+    Q = np.array([p.vector for p in qz.pairs]).T
+    for p in spec.pairs:
+        S = Q[:, np.abs(Lams_qz - p.Lambda) <= 1e-9 * max(1.0, abs(p.Lambda))]
+        G, b = S.conj().T @ P.mass_one @ S, S.conj().T @ (P.mass_one @ p.vector)
+        assert np.sqrt(abs(np.conj(b) @ np.linalg.solve(G, b))) >= 1 - 1e-8
+
+
+@pytest.mark.parametrize("geometry", _ORACLE_GEOMETRIES)
+def test_weight_one_solve_matches_qz(geometry):
+    for kappa, mode, elements, delta in itertools.product(
+            (1.0, 0.5, -0.3, -0.5, -0.85, -0.97), (0, 1, 2, 4), (24, 64), (0.0, 1e-3)):
+        cap = ct.build_cap(geometry, ct.MaterialSpec.from_contrast(kappa), mode,
+                           elements, 2)
+        _assert_matches_qz(ct.assemble_dissipative_pencil(cap, delta) if delta
+                           else ct.assemble_pencil(cap))
+
+
+def test_weight_one_solve_decoupled_pole():
+    # the eigenvector at Lambda ~ 722261 barely reaches the interface
+    # (u_i ~ 1e-15): its plain Cauchy vector u / (mu - Lambda) has a residual
+    # of 1.7, so its pole entry must come from the secular equation
+    P = ct.pencil_for(ct.CapGeometry("internal", 1.1),
+                      ct.MaterialSpec.from_contrast(-0.3), 4, 256, 2)
+    _assert_matches_qz(P)
+
+
+def test_failed_pair_is_repaired(monkeypatch, quarter_tip, critical_material):
+    # a pair whose vector misses the residual cut gets one inverse-iteration
+    # step at its eigenvalue and is kept, not rejected
+    P = ct.pencil_for(quarter_tip, critical_material, 1, 32, 2)
+    good = ct.solve_pencil(P)
+    solve = spectrum._weight_one_solve
+
+    def damaged(P):
+        Lams, V = solve(P)
+        V[:, 3] += 1e-4 * np.linalg.norm(V[:, 3])
+        return Lams, V
+
+    monkeypatch.setattr(spectrum, "_weight_one_solve", damaged)
+    spec = ct.solve_pencil(P)
+    assert spec.n_rejected == 0
+    assert np.array_equal(spec.Lambdas, good.Lambdas)
+    assert max(p.residual for p in spec.pairs) < 1e-12
 
 
 def _ulp_perturbed(P, rng):
@@ -339,6 +406,14 @@ def test_weights_skip_exactly_the_line_eigenvalues():
     with pytest.raises(DimensionMismatch):
         ct.spectral_weights([spec], "dirichlet")
     assert ct.spectral_weights([spec], "neumann").beta == 2.5
+    # at tol=1e-5 the 1.5e-6 pair is "line" for classify_eigenvalue and
+    # line_eigenvalues alike, so it sets no weight either
+    spec = _near_line_spectrum(1.5e-6)
+    assert [classify_eigenvalue(L, 1e-5) for L in spec.Lambdas] == ["line"] * 2
+    assert len(ct.line_eigenvalues(spec, tol=1e-5)) == 1
+    with pytest.raises(DimensionMismatch):
+        ct.spectral_weights([spec], "dirichlet", tol=1e-5)
+    assert ct.spectral_weights([spec], "neumann", tol=1e-5).beta == 2.5
 
 
 def _one_pair_spectrum(Lambda, offset=0.0, coupling=1e-10):
@@ -402,6 +477,22 @@ def test_line_eigenvalue_against_conical_dispersion(quarter_tip):
     ratio = complex(-(P(-x0) * dP(x0)) / (P(x0) * dP(-x0)))
     assert abs(ratio.imag) < 1e-12
     assert abs(ratio.real - (-2.0)) / 2.0 < 1e-6
+
+
+@pytest.mark.parametrize("order, meshes, min_rate", [
+    (2, (16, 32, 64, 128), 3.5), (1, (32, 64, 128), 1.8)])
+def test_line_eigenvalue_mesh_convergence_order(quarter_tip, order, meshes, min_rate):
+    # sign-changing coefficient: the mode-0 line eigenvalue eta at
+    # kappa = -0.5 against N=512 converges at h^4 (order 2) and h^2 (order 1)
+    mat = ct.MaterialSpec.from_contrast(-0.5)
+
+    def eta(elements):
+        P = ct.pencil_for(quarter_tip, mat, 0, elements, order)
+        return ct.line_eigenvalues(ct.solve_pencil(P))[0].eta
+
+    ref = eta(512)
+    errs = np.array([abs(eta(n) - ref) for n in meshes])
+    assert np.log2(errs[:-1] / errs[1:]).min() >= min_rate
 
 
 def test_cross_eta_orthogonality_after_normalization(multi_eta_evs):
