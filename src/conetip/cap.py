@@ -206,6 +206,13 @@ class DiscreteCap:
     def n_dof(self) -> int:
         return len(self.dof_map)
 
+    @property
+    def interface_dof(self) -> int:
+        """Retained dof index of the interface node.  Pencil rows below it
+        see only the minus region, rows above it only the plus region."""
+        return int(np.searchsorted(
+            self.dof_map, self.mesh.element_order * self.mesh.interface_index))
+
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Embed a reduced dof vector into the full dof numbering (zeros at
         eliminated dofs)."""

@@ -1,14 +1,14 @@
 """Command-line driver: dispatches a validated config to the numerical
-modules and serializes the results.
+modules and serializes the results.  Every subcommand runs its modes one
+after another, in the order of the config.
 
-    conetip <subcommand> --config cfg.json [--out DIR] [--format csv|json] [--threads N]
+    conetip <subcommand> --config cfg.json [--out DIR] [--format csv|json]
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import absorption, flux, interval
@@ -27,21 +27,17 @@ def _material(config: RunConfig) -> MaterialSpec:
     return MaterialSpec(**config.material)
 
 
-def _mode_spectra(config: RunConfig, map_fn, geometry=None):
+def _mode_spectra(config: RunConfig, geometry=None):
     geometry, material = geometry or _geometry(config), _material(config)
     elements, order = config.mesh["elements"], config.mesh["order"]
-
-    def solve_mode(m):
-        return solve_pencil(assemble_pencil(
-            build_cap(geometry, material, m, elements, order)))
-
-    return list(map_fn(solve_mode, config.modes))
+    return [solve_pencil(assemble_pencil(
+        build_cap(geometry, material, m, elements, order))) for m in config.modes]
 
 
-def _line_evs(config: RunConfig, map_fn):
+def _line_evs(config: RunConfig):
     evs = []
-    for spec in _mode_spectra(config, map_fn):
-        evs.extend(line_eigenvalues(spec, tol=config.sweep["line_tol"]))
+    for spec in _mode_spectra(config):
+        evs.extend(line_eigenvalues(spec))
     evs.sort(key=lambda le: (le.mode, le.eta))
     return evs
 
@@ -53,14 +49,13 @@ def _first_simple(evs):
     raise ConfigError("no usable line eigenvalue at this configuration")
 
 
-def _run_spectrum(config: RunConfig, map_fn) -> ResultBundle:
-    tol = config.sweep["line_tol"]
+def _run_spectrum(config: RunConfig) -> ResultBundle:
     rows = []
-    for spec in _mode_spectra(config, map_fn):
+    for spec in _mode_spectra(config):
         for p, (lp, _) in zip(spec.pairs, spec.lambda_view):
             rows.append((spec.mode, p.Lambda.real, p.Lambda.imag,
                          lp.real, lp.imag,
-                         classify_eigenvalue(p.Lambda, tol), p.residual))
+                         classify_eigenvalue(p.Lambda), p.residual))
     bundle = ResultBundle(config=config)
     bundle.tables["spectrum"] = (
         ["mode", "re_Lambda", "im_Lambda", "re_lambda", "im_lambda",
@@ -68,12 +63,12 @@ def _run_spectrum(config: RunConfig, map_fn) -> ResultBundle:
     return bundle
 
 
-def _run_interval(config: RunConfig, map_fn) -> ResultBundle:
+def _run_interval(config: RunConfig) -> ResultBundle:
     ci = interval.scan_interval(
         _geometry(config), kappa_range=tuple(config.sweep["kappa_range"]),
         grid=config.sweep["grid"], bisect_tol=config.sweep["bisect_tol"],
         modes=config.modes, elements=config.mesh["elements"],
-        order=config.mesh["order"], map_fn=map_fn)
+        order=config.mesh["order"])
     bundle = ResultBundle(config=config)
     bundle.documents["interval"] = {
         "alpha": ci.alpha,
@@ -87,7 +82,7 @@ def _run_interval(config: RunConfig, map_fn) -> ResultBundle:
     return bundle
 
 
-def _run_aleph(config: RunConfig, map_fn) -> ResultBundle:
+def _run_aleph(config: RunConfig) -> ResultBundle:
     alpha = config.geometry["alpha"]
     value = interval.aleph(alpha)
     bundle = ResultBundle(config=config)
@@ -96,17 +91,17 @@ def _run_aleph(config: RunConfig, map_fn) -> ResultBundle:
     return bundle
 
 
-def _run_weights(config: RunConfig, map_fn) -> ResultBundle:
-    geometry, tol = _geometry(config), config.sweep["line_tol"]
+def _run_weights(config: RunConfig) -> ResultBundle:
+    geometry = _geometry(config)
     if geometry.kind == "boundary":
         # the rim condition is part of the geometry: solve both variants
         wd, wn = (spectral_weights(_mode_spectra(
-            config, map_fn, replace(geometry, outer_bc=bc)), bc, tol)
+            config, replace(geometry, outer_bc=bc)), bc)
             for bc in ("dirichlet", "neumann"))
     else:
-        specs = _mode_spectra(config, map_fn)
-        wd = spectral_weights(specs, "dirichlet", tol)
-        wn = spectral_weights(specs, "neumann", tol)
+        specs = _mode_spectra(config)
+        wd = spectral_weights(specs, "dirichlet")
+        wn = spectral_weights(specs, "neumann")
     star, record = weight_star(wd, wn)
     bundle = ResultBundle(config=config)
     bundle.documents["weights"] = {
@@ -115,8 +110,8 @@ def _run_weights(config: RunConfig, map_fn) -> ResultBundle:
     return bundle
 
 
-def _run_basis(config: RunConfig, map_fn) -> ResultBundle:
-    evs = _line_evs(config, map_fn)
+def _run_basis(config: RunConfig) -> ResultBundle:
+    evs = _line_evs(config)
     if not evs:
         raise ConfigError("no line eigenvalues: nothing to build a basis from")
     space = flux.singular_space(evs, rho=config.sweep["rho"])
@@ -137,8 +132,8 @@ def _run_basis(config: RunConfig, map_fn) -> ResultBundle:
     return bundle
 
 
-def _run_trajectory(config: RunConfig, map_fn) -> ResultBundle:
-    evs = _line_evs(config, map_fn)
+def _run_trajectory(config: RunConfig) -> ResultBundle:
+    evs = _line_evs(config)
     le = _first_simple(evs)
     points = absorption.trajectory(le.pencil.cap, le, config.sweep["delta_grid"])
     rows = [(p.delta, p.lam.real, p.lam.imag, p.overlap) for p in points]
@@ -153,8 +148,8 @@ def _run_trajectory(config: RunConfig, map_fn) -> ResultBundle:
     return bundle
 
 
-def _run_blowup(config: RunConfig, map_fn) -> ResultBundle:
-    le = _first_simple(_line_evs(config, map_fn))
+def _run_blowup(config: RunConfig) -> ResultBundle:
+    le = _first_simple(_line_evs(config))
     s = flux.build_singularity(le, rho=config.sweep["rho"])
     n_list = config.sweep["n_list"]
     norms = [flux.singular_sequence_norm(s, n) for n in n_list]
@@ -178,18 +173,10 @@ _RUNNERS = {
 
 
 def run_command(config: RunConfig, threads: int = 1) -> ResultBundle:
-    """Execute one subcommand; sweep points may run concurrently, results are
-    merged in deterministic order."""
-    if threads > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        map_fn = pool.map
-    else:
-        pool, map_fn = None, map
-    try:
-        return _RUNNERS[config.subcommand](config, map_fn)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    """Execute one subcommand, its modes in config order.  ``threads`` is
+    ignored: ``perfbench`` still passes it, and it goes when perfbench is
+    refreshed."""
+    return _RUNNERS[config.subcommand](config)
 
 
 def main(argv=None) -> int:
@@ -202,7 +189,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--format", choices=["csv", "json"], default=None,
                         help="restrict output formats")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -216,7 +202,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config subcommand {config.subcommand!r} does not match "
                 f"CLI subcommand {args.subcommand!r}")
-        bundle = run_command(config, threads=args.threads)
+        bundle = run_command(config)
         out_dir = args.out or config.output["directory"]
         formats = [args.format] if args.format else config.output["formats"]
         paths = write_results(bundle, out_dir, formats)

@@ -119,7 +119,7 @@ def dispersion_relation(geometry: CapGeometry, mode: int, elements: int = 64,
     """
     # the region blocks do not depend on the cap's coefficient
     cap = build_cap(geometry, MaterialSpec(1.0, 1.0), mode, elements, order)
-    p = int(np.searchsorted(cap.dof_map, order * cap.mesh.interface_index))
+    p = cap.interface_dof
     sides = [_interface_schur(*(M[block, block] for M in region), face, order)
              for region, block, face in zip(_region_blocks(cap),
                                             (slice(None, p + 1), slice(p, None)),
@@ -156,8 +156,8 @@ class CriticalInterval:
 
 def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
                   grid: int = 24, bisect_tol: float = 1e-3,
-                  modes=DEFAULT_MODES, elements: int = 64, order: int = 2,
-                  map_fn=map) -> CriticalInterval:
+                  modes=DEFAULT_MODES, elements: int = 64,
+                  order: int = 2) -> CriticalInterval:
     """Critical interval as the union of the ranges of the dispersion curves
     ``kappa_m(eta)``, ``eta >= 0`` (see :func:`dispersion_relation`).
 
@@ -166,8 +166,8 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
     in mode 0, a fold in modes >= 1) is refined by bisecting the bracket of
     the extreme sample on the Krein sign down to ``bisect_tol`` in eta.  The
     range must avoid the 0.02 neighborhood of -1 and contain the far end
-    (else ``no-transition-found``).  ``map_fn`` may evaluate the modes
-    concurrently; the merge is ordered.
+    (else ``no-transition-found``).  The modes are scanned one after
+    another, in the order given.
     """
     lo, hi = sorted(kappa_range)
     if lo >= 0 or hi >= 0:
@@ -198,7 +198,7 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
                 b = mid
         return outer, min(ys)
 
-    ranges = list(map_fn(curve_range, modes))
+    ranges = [curve_range(m) for m in modes]
     attaining, (y_outer, _) = max(zip(modes, ranges), key=lambda mr: mr[1][0])
     endpoint_outer = far * y_outer
     if not lo < endpoint_outer < hi:

@@ -26,7 +26,7 @@ _MATERIAL_KEYS = {"sigma_plus", "sigma_minus", "kappa", "delta"}
 _MESH_DEFAULTS = {"elements": 64, "order": 2}
 _SWEEP_DEFAULTS = {"kappa_range": [-0.9, -0.05], "grid": 24, "bisect_tol": 1e-3,
                    "delta_grid": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6],
-                   "n_list": [20, 40, 60, 80], "line_tol": 1e-6, "rho": 1.0}
+                   "n_list": [20, 40, 60, 80], "rho": 1.0}
 _OUTPUT_KEYS = {"directory", "formats"}
 _TOP_KEYS = {"subcommand", "geometry", "material", "modes", "mesh", "sweep",
              "output"}

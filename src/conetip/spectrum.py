@@ -196,8 +196,7 @@ def _weight_one_solve(P: PencilMatrices):
     other between large products stalls.
     """
     cap, K1, M1 = P.cap, P.stiffness_one, P.mass_one
-    p = int(np.searchsorted(cap.dof_map,
-                            cap.mesh.element_order * cap.mesh.interface_index))
+    p = cap.interface_dof
     s_plus = cap.material.sigma_plus + (1j * P.delta if P.delta else 0.0)
     ab = np.stack([P.A[p], P.B[p]]) / s_plus - np.stack([K1[p], M1[p]])
     mu, V = _weight_one_basis(K1, M1)
@@ -266,7 +265,6 @@ class LineEigenvalue:
     pencil: PencilMatrices
     chain: tuple = ()
     near_quarter: bool = False
-    jordan_ambiguous: bool = False
 
     def __post_init__(self):
         for v in (self.vector, *self.chain):
@@ -282,32 +280,33 @@ class LineEigenvalue:
         return complex(-0.5, self.eta)
 
 
-def classify_eigenvalue(Lambda: complex, tol: float = LINE_TOL) -> str:
+def classify_eigenvalue(Lambda: complex) -> str:
     """``"line"`` for an eigenvalue on the energy line (on the real axis,
-    ``|Im Lambda| <= tol * max(1, |Re Lambda|)``, with ``Re Lambda < -1/4``),
-    ``"real"`` for the rest of the real axis, else ``"complex"``."""
-    if abs(Lambda.imag) > tol * max(1.0, abs(Lambda.real)):
+    ``|Im Lambda| <= LINE_TOL * max(1, |Re Lambda|)``, with
+    ``Re Lambda < -1/4``), ``"real"`` for the rest of the real axis, else
+    ``"complex"``.  ``LINE_TOL`` (1e-6) is the package's one line criterion."""
+    if abs(Lambda.imag) > LINE_TOL * max(1.0, abs(Lambda.real)):
         return "complex"
     return "line" if Lambda.real < -0.25 else "real"
 
 
-def line_eigenvalues(spec: SpectrumResult, tol: float = LINE_TOL) -> list:
+def line_eigenvalues(spec: SpectrumResult) -> list:
     """Extract eigenvalues on the energy line.
 
     An eigenvalue qualifies when :func:`classify_eigenvalue` calls it
-    ``"line"``.  Eigenvalues closer than ``tol`` (relative) are one line
+    ``"line"``.  Eigenvalues closer than ``LINE_TOL`` (relative) are one line
     eigenvalue (an eigensolver splits an exact Jordan pair by about 1e-8):
     ``Lambda`` is their mean and the eigenvector that of the member with the
     smallest residual (the first on ties).  Line eigenvalues with
     ``eta < ETA_MIN`` are flagged ``near_quarter`` (the double root
     ``lambda = -1/2`` is special-cased out of basis construction downstream).
     """
-    cands = [p for p in spec.pairs if classify_eigenvalue(p.Lambda, tol) == "line"]
+    cands = [p for p in spec.pairs if classify_eigenvalue(p.Lambda) == "line"]
     cands.sort(key=lambda p: p.Lambda.real)
     clusters = []
     for p in cands:
         if clusters and abs(p.Lambda.real - clusters[-1][-1].Lambda.real) \
-                <= tol * max(1.0, abs(p.Lambda.real)):
+                <= LINE_TOL * max(1.0, abs(p.Lambda.real)):
             clusters[-1].append(p)
         else:
             clusters.append([p])
@@ -341,15 +340,12 @@ def jordan_chains(P: PencilMatrices, le: LineEigenvalue) -> LineEigenvalue:
     ``(A - Lambda B) phi_{k+1} = 2i eta B phi_k + B phi_{k-1}`` further up),
     solvable exactly when ``phi_0^T B phi_0`` vanishes.  A chain is grown when
     :func:`jordan_indicator` is below ``JORDAN_THRESHOLD``, up to
-    ``JORDAN_MAX_CHAIN`` vectors while its residual is below ``RESIDUAL_TOL``;
-    ``jordan_ambiguous`` flags an indicator within a decade of the threshold.
+    ``JORDAN_MAX_CHAIN`` vectors while its residual is below ``RESIDUAL_TOL``.
     """
     if le.pencil is not P:
         raise DimensionMismatch("line eigenvalue does not belong to this pencil")
-    indicator = jordan_indicator(le)
-    ambiguous = JORDAN_THRESHOLD / 10 < indicator < JORDAN_THRESHOLD * 10
     chain = []
-    if indicator < JORDAN_THRESHOLD:
+    if jordan_indicator(le) < JORDAN_THRESHOLD:
         M = P.A - le.Lambda * P.B
         prev2, prev1 = None, le.vector
         while len(chain) < JORDAN_MAX_CHAIN - 1:
@@ -362,7 +358,7 @@ def jordan_chains(P: PencilMatrices, le: LineEigenvalue) -> LineEigenvalue:
                 break
             chain.append(x)
             prev2, prev1 = prev1, x
-    return replace(le, chain=tuple(chain), jordan_ambiguous=ambiguous)
+    return replace(le, chain=tuple(chain))
 
 
 @dataclass(frozen=True)
@@ -398,11 +394,11 @@ def _beta_error(pencil: PencilMatrices, pair: EigenPair) -> float:
     return float(d_Lambda / (2.0 * abs(np.sqrt(Lam + 0.25))))
 
 
-def spectral_weights(specs, bc_kind: str, tol: float = LINE_TOL) -> SpectralWeights:
+def spectral_weights(specs, bc_kind: str) -> SpectralWeights:
     """Weight exponent from a collection of per-mode spectra.
 
     Both exponent roots of every eigenvalue that :func:`classify_eigenvalue`
-    does not call ``"line"`` at ``tol`` are considered, and of these the roots
+    does not call ``"line"`` are considered, and of these the roots
     strictly right of the line, so the weight measures off-line spectrum only.
     The selected eigenpair's error bound is reported as ``beta_err``.  For
     ``"neumann"`` a ``beta`` within ``beta_err`` of 5/2 is reported as exactly
@@ -417,7 +413,7 @@ def spectral_weights(specs, bc_kind: str, tol: float = LINE_TOL) -> SpectralWeig
     for spec in specs:
         for p, roots in zip(spec.pairs, spec.lambda_view):
             n_total += 1
-            if classify_eigenvalue(p.Lambda, tol) == "line":
+            if classify_eigenvalue(p.Lambda) == "line":
                 continue
             for lam in roots:
                 d = lam.real + 0.5

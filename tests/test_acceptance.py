@@ -57,17 +57,14 @@ def test_criterion_2_aleph_symmetry():
 
 
 def test_criterion_3_critical_interval():
-    from concurrent.futures import ThreadPoolExecutor
-
     with criterion(3, "scanned endpoint matches -aleph(pi/4): 2% at 128, "
                       "0.5% at 256, converging with the mesh", 120):
         g = ct.CapGeometry("internal", np.pi / 4)
         target = -ct.aleph(np.pi / 4)
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            ci = ct.scan_interval(g, kappa_range=(-0.55, -0.06), grid=12,
-                                  bisect_tol=1e-3, modes=(0, 1, 2, 3, 4),
-                                  elements=128, map_fn=pool.map)
+        ci = ct.scan_interval(g, kappa_range=(-0.55, -0.06), grid=12,
+                              bisect_tol=1e-3, modes=(0, 1, 2, 3, 4),
+                              elements=128)
         err128 = abs(ci.endpoint_outer - target) / abs(target)
         assert err128 < 0.02
         assert ci.attaining_mode == 0

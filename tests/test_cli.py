@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -11,7 +12,8 @@ import pytest
 import conetip as ct
 from conetip.cli import main, run_command
 from conetip.errors import ConfigError
-from conetip.io import parse_config, serialize_config, write_results
+from conetip.io import (SUBCOMMANDS, _SWEEP_DEFAULTS, parse_config,
+                        serialize_config, write_results)
 
 MINIMAL = json.dumps({
     "subcommand": "spectrum",
@@ -24,7 +26,6 @@ def test_parse_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.mesh == {"elements": 64, "order": 2}
     assert cfg.modes == (0, 1, 2, 3, 4)
-    assert cfg.sweep["line_tol"] == 1e-6
     assert cfg.material["sigma_minus"] == -2.0
 
 
@@ -55,6 +56,10 @@ def test_parse_rejects_unknown_keys():
     bad["sweep"] = {"omega": 1.0}
     with pytest.raises(ConfigError, match="omega"):
         parse_config(json.dumps(bad))
+    # the line criterion is the constant LINE_TOL, not a config key
+    bad["sweep"] = {"line_tol": 1e-6}
+    with pytest.raises(ConfigError, match="line_tol"):
+        parse_config(json.dumps(bad))
 
 
 @pytest.mark.parametrize("block, value, where", [
@@ -68,8 +73,10 @@ def test_parse_rejects_unknown_keys():
     ("material", {"kappa": -0.5, "delta": float("inf")}, "material.delta"),
     ("sweep", {"kappa_range": -0.5}, "sweep.kappa_range"),
     ("sweep", {"n_list": [20, "40"]}, "sweep.n_list"),
-    ("sweep", {"line_tol": None}, "sweep.line_tol"),
+    ("sweep", {"rho": None}, "sweep.rho"),
     ("sweep", {"kappa_range": [-0.5]}, "sweep.kappa_range"),
+    ("mesh", {"elements": 3}, "mesh.elements"),
+    ("mesh", {"order": 3}, "mesh.order"),
 ])
 def test_parse_rejects_malformed_values(block, value, where):
     bad = json.loads(MINIMAL)
@@ -240,23 +247,36 @@ def test_basis_weights_blowup_bundles(tmp_path):
     assert lines[0] == "n,grad_norm_sq"
 
 
-def test_weights_command_takes_line_tol(monkeypatch):
-    seen = []
-    weights = ct.cli.spectral_weights
+class _ReadRecorder(dict):
+    """A dict that records which keys are read."""
 
-    def spy(specs, bc_kind, tol):
-        seen.append(tol)
-        return weights(specs, bc_kind, tol)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
 
-    monkeypatch.setattr(ct.cli, "spectral_weights", spy)
-    for geometry in ({"kind": "internal", "alpha": np.pi / 4},
-                     {"kind": "boundary", "alpha": np.pi / 4,
-                      "alpha_outer": np.pi / 2, "outer_bc": "dirichlet"}):
-        run_command(parse_config(json.dumps({
-            "subcommand": "weights", "geometry": geometry,
-            "material": {"kappa": 1.0}, "modes": [0, 1],
-            "mesh": {"elements": 16, "order": 2}, "sweep": {"line_tol": 1e-5}})))
-    assert seen == [1e-5] * 4
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_every_sweep_key_is_read():
+    # a key that no subcommand reads is accepted, validated and hashed for
+    # nothing (sweep.omega was such a key)
+    read = set()
+    for sub in SUBCOMMANDS:
+        cfg = parse_config(json.dumps({
+            "subcommand": sub,
+            "geometry": {"kind": "internal", "alpha": np.pi / 4},
+            "material": {"kappa": -0.5}, "modes": [0],
+            "mesh": {"elements": 16, "order": 2}}))
+        sweep = _ReadRecorder(cfg.sweep)
+        run_command(dataclasses.replace(cfg, sweep=sweep))
+        read |= sweep.read
+    assert read == set(_SWEEP_DEFAULTS)
 
 
 def test_cli_main_errors(tmp_path, capsys):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import conetip as ct
 from conetip import spectrum
 from conetip.errors import DimensionMismatch, NotApplicableDissipative
-from conetip.spectrum import RESIDUAL_TOL, _normalize_one, classify_eigenvalue
+from conetip.spectrum import LINE_TOL, RESIDUAL_TOL, _normalize_one, classify_eigenvalue
 
 from conftest import defective_line_eigenvalue, defective_pencil
 
@@ -223,8 +223,8 @@ def test_line_detection(quarter_tip, line_evs):
 
 
 def test_line_detection_completeness(critical_spectrum):
-    tol = 1e-6
-    evs = ct.line_eigenvalues(critical_spectrum, tol=tol)
+    tol = LINE_TOL
+    evs = ct.line_eigenvalues(critical_spectrum)
     for p in critical_spectrum.pairs:
         L = p.Lambda
         if abs(L.imag) < tol * max(1.0, abs(L.real)) and L.real < -0.25 - tol:
@@ -403,17 +403,10 @@ def test_weights_skip_exactly_the_line_eigenvalues():
     # 5e-7 is below it: the pair is "line" and leaves no spectrum right of it
     spec = _near_line_spectrum(5e-7)
     assert [classify_eigenvalue(L) for L in spec.Lambdas] == ["line"] * 2
+    assert len(ct.line_eigenvalues(spec)) == 1
     with pytest.raises(DimensionMismatch):
         ct.spectral_weights([spec], "dirichlet")
     assert ct.spectral_weights([spec], "neumann").beta == 2.5
-    # at tol=1e-5 the 1.5e-6 pair is "line" for classify_eigenvalue and
-    # line_eigenvalues alike, so it sets no weight either
-    spec = _near_line_spectrum(1.5e-6)
-    assert [classify_eigenvalue(L, 1e-5) for L in spec.Lambdas] == ["line"] * 2
-    assert len(ct.line_eigenvalues(spec, tol=1e-5)) == 1
-    with pytest.raises(DimensionMismatch):
-        ct.spectral_weights([spec], "dirichlet", tol=1e-5)
-    assert ct.spectral_weights([spec], "neumann", tol=1e-5).beta == 2.5
 
 
 def _one_pair_spectrum(Lambda, offset=0.0, coupling=1e-10):
