@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cap import DiscreteCap, PencilMatrices, _band, _dissipated
+from .cap import DiscreteCap, PencilMatrices, _dissipated
 from .errors import DimensionMismatch, PerturbationDegenerate, TrajectoryLost
 from .flux import MandelstamBasis
 from .spectrum import (ETA_MIN, RESIDUAL_TOL, LineEigenvalue, _backward_error,
-                       _normalize_one, _times)
+                       _inverse_step, _normalize_one, _times)
 
 OVERLAP_MIN = 0.9
 ANGLE_TOL = 1e-6
@@ -73,8 +73,7 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
     points = []
     for d in (0.0, *deltas):
         P = _dissipated(base, d)
-        Lam, v, res = _rayleigh_iteration(P.A, P.B, cap.mesh.element_order,
-                                          Lam_prev, v_prev)
+        Lam, v, res = _rayleigh_iteration(P, Lam_prev, v_prev)
         if not res < RESIDUAL_TOL:
             raise TrajectoryLost(f"no certified eigenpair at delta={d:g} "
                                  f"(residual {res:.2e})")
@@ -92,21 +91,23 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
     return points
 
 
-def _rayleigh_iteration(A, B, u, Lam, v):
-    """Eigenpair of the pencil ``(A, B)`` of half-bandwidth ``u`` reached from
-    ``(Lam, v)`` by shift-and-invert iteration, the shift updated each step to
-    the two-sided Rayleigh quotient ``x^T A x / x^T B x`` of the complex
-    symmetric pencil.
+def _rayleigh_iteration(P: PencilMatrices, Lam, v):
+    """Eigenpair of the cap pencil ``P`` reached from ``(Lam, v)`` by
+    shift-and-invert iteration (:func:`~conetip.spectrum._inverse_step`), the
+    shift updated each step to the two-sided Rayleigh quotient
+    ``x^T A x / x^T B x`` of the complex symmetric pencil.
 
     Returns ``(Lambda, vector, residual)``, the residual that certifies
     :func:`~conetip.spectrum.solve_pencil`; it stops at rounding level (below
-    ``RESIDUAL_TOL`` and no longer halving) or after ``_RQI_MAX_ITER`` solves.
+    ``RESIDUAL_TOL`` and no longer halving), at an exactly singular shift, or
+    after ``_RQI_MAX_ITER`` solves.
     """
-    A_band, B_band = _band(A, u), _band(B, u)
+    A, B = P.A, P.B
     res = np.inf
     for _ in range(_RQI_MAX_ITER):
-        x = scipy.linalg.solve_banded((u, u), A_band - Lam * B_band,
-                                      _times(B, v), check_finite=False)
+        x = _inverse_step(P, Lam, v)
+        if x is None:
+            break
         x = x / np.linalg.norm(x)
         Lam_x = complex(x @ _times(A, x) / (x @ _times(B, x)))
         res_x = _backward_error(A, B, x[:, None], Lam_x)[0]

@@ -12,26 +12,18 @@ import sys
 from dataclasses import replace
 
 from . import absorption, flux, interval
-from .cap import CapGeometry, MaterialSpec, assemble_pencil, build_cap
+from .cap import assemble_pencil, build_cap
 from .errors import ConfigError, ConetipError
 from .io import ResultBundle, RunConfig, SUBCOMMANDS, parse_config, write_results
 from .spectrum import (classify_eigenvalue, line_eigenvalues, solve_pencil,
                        spectral_weights, weight_star)
 
 
-def _geometry(config: RunConfig) -> CapGeometry:
-    return CapGeometry(**config.geometry)
-
-
-def _material(config: RunConfig) -> MaterialSpec:
-    return MaterialSpec(**config.material)
-
-
 def _mode_spectra(config: RunConfig, geometry=None):
-    geometry, material = geometry or _geometry(config), _material(config)
+    geometry = geometry or config.geometry
     elements, order = config.mesh["elements"], config.mesh["order"]
-    return [solve_pencil(assemble_pencil(
-        build_cap(geometry, material, m, elements, order))) for m in config.modes]
+    return [solve_pencil(assemble_pencil(build_cap(
+        geometry, config.material, m, elements, order))) for m in config.modes]
 
 
 def _line_evs(config: RunConfig):
@@ -65,7 +57,7 @@ def _run_spectrum(config: RunConfig) -> ResultBundle:
 
 def _run_interval(config: RunConfig) -> ResultBundle:
     ci = interval.scan_interval(
-        _geometry(config), kappa_range=tuple(config.sweep["kappa_range"]),
+        config.geometry, kappa_range=tuple(config.sweep["kappa_range"]),
         grid=config.sweep["grid"], bisect_tol=config.sweep["bisect_tol"],
         modes=config.modes, elements=config.mesh["elements"],
         order=config.mesh["order"])
@@ -83,7 +75,7 @@ def _run_interval(config: RunConfig) -> ResultBundle:
 
 
 def _run_aleph(config: RunConfig) -> ResultBundle:
-    alpha = config.geometry["alpha"]
+    alpha = config.geometry.alpha
     value = interval.aleph(alpha)
     bundle = ResultBundle(config=config)
     bundle.documents["aleph"] = {"alpha": alpha, "aleph": value,
@@ -92,7 +84,7 @@ def _run_aleph(config: RunConfig) -> ResultBundle:
 
 
 def _run_weights(config: RunConfig) -> ResultBundle:
-    geometry = _geometry(config)
+    geometry = config.geometry
     if geometry.kind == "boundary":
         # the rim condition is part of the geometry: solve both variants
         wd, wn = (spectral_weights(_mode_spectra(

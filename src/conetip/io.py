@@ -34,11 +34,12 @@ _TOP_KEYS = {"subcommand", "geometry", "material", "modes", "mesh", "sweep",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description with defaults filled in."""
+    """Validated run description with defaults filled in; the geometry and
+    material are the objects their guards accepted."""
 
     subcommand: str
-    geometry: dict
-    material: dict | None
+    geometry: CapGeometry
+    material: MaterialSpec | None
     modes: tuple
     mesh: dict
     sweep: dict
@@ -122,10 +123,9 @@ def parse_config(text: str) -> RunConfig:
                               "material.kappa")
         num = {k: _number(v, 0.0, f"material.{k}") for k, v in mat.items()}
         sigma_plus, delta = num.get("sigma_plus", 1.0), num.get("delta", 0.0)
-        spec = (_build(MaterialSpec.from_contrast, num["kappa"], sigma_plus, delta)
-                if "kappa" in num else
-                _build(MaterialSpec, sigma_plus, num["sigma_minus"], delta))
-        material = asdict(spec)
+        material = (_build(MaterialSpec.from_contrast, num["kappa"], sigma_plus, delta)
+                    if "kappa" in num else
+                    _build(MaterialSpec, sigma_plus, num["sigma_minus"], delta))
     elif sub != "aleph":
         raise ConfigError(f"subcommand {sub!r} requires a material block")
 
@@ -155,7 +155,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("output.formats entries must be csv or json")
     out = {"directory": out.get("directory", "conetip-out"), "formats": formats}
 
-    return RunConfig(subcommand=sub, geometry=asdict(geometry), material=material,
+    return RunConfig(subcommand=sub, geometry=geometry, material=material,
                      modes=tuple(int(m) for m in modes), mesh=mesh,
                      sweep=sweep, output=out)
 
@@ -164,14 +164,15 @@ def serialize_config(config: RunConfig) -> str:
     """Round-trip inverse of :func:`parse_config` (sigma_minus form)."""
     doc = {
         "subcommand": config.subcommand,
-        "geometry": {k: v for k, v in config.geometry.items() if v is not None},
+        "geometry": {k: v for k, v in asdict(config.geometry).items()
+                     if v is not None},
         "modes": list(config.modes),
         "mesh": dict(config.mesh),
         "sweep": dict(config.sweep),
         "output": dict(config.output),
     }
     if config.material is not None:
-        doc["material"] = dict(config.material)
+        doc["material"] = asdict(config.material)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -5,8 +5,8 @@ indefinite weight.  Its coefficient is constant on each side of the interface
 dof, so the pencil is the kappa-independent weight-one pencil
 ``(stiffness_one, mass_one)`` plus one rank-one row: a cap's pencil is solved
 from the symmetric weight-one eigenbasis and a diagonal-plus-rank-one
-eigenproblem, and every pair is certified by :func:`_backward_error`.  Dense
-QZ solves the hand-built pencils without a cap and is the tests' oracle.
+eigenproblem, and every pair is certified by :func:`_backward_error`.  This
+is the package's one eigensolver; dense QZ lives in the tests, as its oracle.
 
 Eigenvalues map to singular exponents through ``Lambda = lambda*(lambda+1)``;
 eigenvalues with real ``Lambda < -1/4`` sit on the energy line
@@ -122,39 +122,32 @@ def _backward_error(A, B, V, Lams):
 
 
 def solve_pencil(P: PencilMatrices) -> SpectrumResult:
-    """Solve ``A v = Lambda B v`` (B is never inverted).
+    """Solve ``A v = Lambda B v`` of a pencil assembled from a cap (B is never
+    inverted) through its kappa-independent weight-one eigenbasis
+    (:func:`_weight_one_solve`); a pencil without a cap raises
+    :class:`~conetip.errors.DimensionMismatch`.
 
-    A pencil assembled from a cap is solved through its kappa-independent
-    weight-one eigenbasis (:func:`_weight_one_solve`); a hand-built pencil
-    (``cap=None``) by dense QZ, which is also the oracle the tests hold the
-    first against.  Eigenvectors are normalized by :func:`_normalize_one`; a
-    pair is kept when its :func:`_backward_error` is below ``RESIDUAL_TOL``.
-    On the weight-one path a pair above it gets one inverse-iteration step at
-    its eigenvalue (:func:`_inverse_step`) and is certified again; the pairs
-    that still fail, and QZ's infinite eigenvalues, count in ``n_rejected``.
-    Pairs are sorted by real part, then by the sign of the imaginary part.
-    LAPACK returns a conjugate pair of a real pencil (or of the real matrix
-    of the weight-one path) adjacently, ``Im > 0`` first, with real parts
-    that may differ in the last bits, so both members are sorted by their
+    Eigenvectors are normalized by :func:`_normalize_one`; a pair is kept
+    when its :func:`_backward_error` is below ``RESIDUAL_TOL``.  A pair above
+    it gets one inverse-iteration step at its eigenvalue
+    (:func:`_inverse_step`) and is certified again; the pairs that still fail
+    count in ``n_rejected``.  Pairs are sorted by real part, then by the sign
+    of the imaginary part.  LAPACK returns a conjugate pair of a real matrix
+    adjacently, ``Im > 0`` first, with real parts that may differ in the last
+    bits, so both members of a pair of an undamped pencil are sorted by their
     mean.
     """
     if P.cap is None:
-        w, V = scipy.linalg.eig(P.A, P.B)
-        finite = np.isfinite(w)
-        w = np.where(finite, w, 0.0)
-        V = _normalize_one(V, P.mass_one)
-        res = _backward_error(P.A, P.B, V, w)
-    else:
-        w, V = _weight_one_solve(P)
-        finite = True
-        _normalize_columns(V, P.mass_one)
-        res = _backward_error(P.A, P.B, V, w)
-        for j in np.flatnonzero(~(res < RESIDUAL_TOL)):
-            x = _inverse_step(P, w[j], V[:, j])
-            if x is not None:
-                V[:, j] = x = _normalize_one(x, P.mass_one)
-                res[j] = _backward_error(P.A, P.B, x[:, None], w[j])[0]
-    keep = finite & (res < RESIDUAL_TOL)
+        raise DimensionMismatch("solve_pencil takes a pencil assembled from a cap")
+    w, V = _weight_one_solve(P)
+    _normalize_columns(V, P.mass_one)
+    res = _backward_error(P.A, P.B, V, w)
+    for j in np.flatnonzero(~(res < RESIDUAL_TOL)):
+        x = _inverse_step(P, w[j], V[:, j])
+        if x is not None:
+            V[:, j] = x = _normalize_one(x, P.mass_one)
+            res[j] = _backward_error(P.A, P.B, x[:, None], w[j])[0]
+    keep = res < RESIDUAL_TOL
     re = w.real.copy()
     if np.isrealobj(P.A) and np.isrealobj(P.B):
         j = np.flatnonzero(w.imag > 0)
@@ -162,8 +155,8 @@ def solve_pencil(P: PencilMatrices) -> SpectrumResult:
     # one array per pair: n x n blocks kept across solves fragment the heap
     pairs = tuple(EigenPair(complex(w[j]), V[:, j].copy(), float(res[j]))
                   for j in np.lexsort((np.sign(w.imag), re)) if keep[j])
-    return SpectrumResult(pairs=pairs, mode=P.cap.mode if P.cap else -1,
-                          pencil=P, n_rejected=int(np.count_nonzero(~keep)))
+    return SpectrumResult(pairs=pairs, mode=P.cap.mode, pencil=P,
+                          n_rejected=int(np.count_nonzero(~keep)))
 
 
 def _weight_one_solve(P: PencilMatrices):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import conetip as ct
+from conetip.spectrum import RESIDUAL_TOL, _backward_error, _normalize_one
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +81,27 @@ def basis_multi(flux_multi):
     return ct.mandelstam_basis(flux_multi)
 
 
+def qz_spectrum(P):
+    """Dense-QZ spectrum of any pencil, a hand-built one (``cap=None``)
+    included: the oracle the weight-one solve of ``solve_pencil`` is held
+    against.  Same normalization, ``RESIDUAL_TOL`` cut and pair order as
+    ``solve_pencil``; infinite eigenvalues count as rejected."""
+    w, V = scipy.linalg.eig(P.A, P.B)
+    finite = np.isfinite(w)
+    w = np.where(finite, w, 0.0)
+    V = _normalize_one(V, P.mass_one)
+    res = _backward_error(P.A, P.B, V, w)
+    keep = finite & (res < RESIDUAL_TOL)
+    re = w.real.copy()
+    if np.isrealobj(P.A) and np.isrealobj(P.B):
+        j = np.flatnonzero(w.imag > 0)
+        re[j] = re[j + 1] = 0.5 * (re[j] + re[j + 1])
+    pairs = tuple(ct.EigenPair(complex(w[j]), V[:, j].copy(), float(res[j]))
+                  for j in np.lexsort((np.sign(w.imag), re)) if keep[j])
+    return ct.SpectrumResult(pairs=pairs, mode=-1 if P.cap is None else P.cap.mode,
+                             pencil=P, n_rejected=int(np.count_nonzero(~keep)))
+
+
 def defective_pencil(eta=1.0):
     """Exactly defective 2x2 symbol pencil: eigenvalue on the line with a
     sigma-self-orthogonal eigenvector and a Jordan chain of length 2."""
@@ -92,8 +115,9 @@ def defective_pencil(eta=1.0):
 
 def defective_line_eigenvalue(eta=1.0):
     """The defective pencil with its exact eigenvector, built by hand so the
-    chain and flux tests do not rest on the eigensolver (``line_eigenvalues``
-    finds the same line eigenvalue from ``solve_pencil``)."""
+    chain and flux tests do not rest on an eigensolver (``line_eigenvalues``
+    finds the same line eigenvalue from :func:`qz_spectrum`; the pencil has
+    no cap, so ``solve_pencil`` refuses it)."""
     P = defective_pencil(eta)
     phi = np.array([1.0 + 0j, 0.0])
     le = ct.LineEigenvalue(eta=eta, Lambda=-0.25 - eta * eta, mode=0,

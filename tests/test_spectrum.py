@@ -12,7 +12,7 @@ from conetip import spectrum
 from conetip.errors import DimensionMismatch, NotApplicableDissipative
 from conetip.spectrum import LINE_TOL, RESIDUAL_TOL, _normalize_one, classify_eigenvalue
 
-from conftest import defective_line_eigenvalue, defective_pencil
+from conftest import defective_line_eigenvalue, defective_pencil, qz_spectrum
 
 
 def legendre_Lambdas(l_max):
@@ -67,10 +67,9 @@ def test_solve_matches_per_vector_reference(critical_material):
             geometries, (1, 2), (0, 1, 2), (0.0, 1e-3)):
         cap = ct.build_cap(g, critical_material, mode, 24, order)
         P = ct.assemble_dissipative_pencil(cap, delta) if delta else ct.assemble_pencil(cap)
-        # a pencil without a cap goes through the QZ body, the oracle of the
-        # weight-one solve (see test_weight_one_solve_matches_qz)
-        P = dataclasses.replace(P, cap=None)
-        spec = ct.solve_pencil(P)
+        # the QZ oracle of the weight-one solve (see
+        # test_weight_one_solve_matches_qz) against the per-vector reference
+        spec = qz_spectrum(P)
         ref, n_rejected = _per_vector_reference(P)
         assert spec.n_rejected == n_rejected
         new = [(p.Lambda, p.vector, p.residual) for p in spec.pairs]
@@ -90,12 +89,12 @@ _ORACLE_GEOMETRIES = [
 
 
 def _assert_matches_qz(P):
-    # the weight-one solve against the QZ body on the same matrices: same
+    # the weight-one solve against the QZ oracle on the same matrices: same
     # kept and rejected counts, eigenvalues in the same order, residuals at
     # QZ's level, and each vector inside the span of QZ's vectors of its
     # eigenvalue (a span: on a mirror-symmetric mesh one eigenvalue can be
     # double, and any basis of its eigenspace is then right)
-    spec, qz = ct.solve_pencil(P), ct.solve_pencil(dataclasses.replace(P, cap=None))
+    spec, qz = ct.solve_pencil(P), qz_spectrum(P)
     assert (len(spec.pairs), spec.n_rejected) == (len(qz.pairs), qz.n_rejected)
     Lams, Lams_qz = spec.Lambdas, qz.Lambdas
     scale = np.maximum(1.0, np.abs(Lams_qz))
@@ -125,6 +124,13 @@ def test_weight_one_solve_decoupled_pole():
     P = ct.pencil_for(ct.CapGeometry("internal", 1.1),
                       ct.MaterialSpec.from_contrast(-0.3), 4, 256, 2)
     _assert_matches_qz(P)
+
+
+def test_solve_pencil_refuses_a_pencil_without_cap():
+    # the weight-one solve needs the cap's interface dof: a hand-built pencil
+    # goes to the QZ oracle of the tests, never to the library
+    with pytest.raises(DimensionMismatch):
+        ct.solve_pencil(defective_pencil())
 
 
 def test_failed_pair_is_repaired(monkeypatch, quarter_tip, critical_material):
@@ -267,7 +273,7 @@ def test_solved_defective_pencil_has_one_eigenvector_and_a_chain():
     # vectors: they are one line eigenvalue, one kernel vector and a chain
     eta = 1.0
     P = defective_pencil(eta)
-    (le,) = ct.line_eigenvalues(ct.solve_pencil(P))
+    (le,) = ct.line_eigenvalues(qz_spectrum(P))
     assert le.multiplicity == 1
     M = P.A - le.Lambda * P.B
     phi0 = le.vector
@@ -309,7 +315,7 @@ def test_line_eigenvalue_arrays_are_read_only():
     # the vector and chain a record holds cannot be changed behind it
     P, le = defective_line_eigenvalue()
     out = ct.jordan_chains(P, le)
-    (solved,) = ct.line_eigenvalues(ct.solve_pencil(P))
+    (solved,) = ct.line_eigenvalues(qz_spectrum(P))
     assert len(out.chain) == 1 and solved.multiplicity == 1
     for v in (le.vector, out.vector, *out.chain, solved.vector):
         with pytest.raises(ValueError):
@@ -390,7 +396,7 @@ def _near_line_spectrum(im_Lambda):
     A = np.array([[-1.25, im_Lambda], [im_Lambda, 1.25]])
     P = ct.PencilMatrices(A=A, B=np.diag([1.0, -1.0]), stiffness_one=np.eye(2),
                           mass_one=np.eye(2), cap=None)
-    return ct.solve_pencil(P)
+    return qz_spectrum(P)
 
 
 def test_weights_skip_exactly_the_line_eigenvalues():
