@@ -78,7 +78,7 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
             raise TrajectoryLost(f"no certified eigenpair at delta={d:g} "
                                  f"(residual {res:.2e})")
         v = _normalize_one(v, m1)
-        ov = abs(np.conj(v_prev) @ (m1 @ v))
+        ov = abs(np.conj(v_prev) @ _times(m1, v))
         if ov < OVERLAP_MIN:
             raise TrajectoryLost(f"overlap {ov:.3f} at delta={d:g}")
         root = np.sqrt(Lam + 0.25)

@@ -31,7 +31,7 @@ from .cap import PencilMatrices, _at_gauss_points
 from .errors import (DimensionMismatch, FluxLimitNonexistent,
                      NearQuarterDegenerate, OddDimensionInternalError,
                      SignatureMismatch)
-from .spectrum import LineEigenvalue
+from .spectrum import LineEigenvalue, _times
 
 LOG_COEFF_TOL = 1e-9
 FLUX_ANTIHERM_TOL = 1e-10
@@ -164,7 +164,7 @@ def _flux_polynomial(u: Hypersingularity, v: Hypersingularity):
     lam_diff = u.lam - np.conj(v.lam)
     for p, ap in enumerate(a):
         for q, bq in enumerate(b):
-            g = complex(ap @ (B @ np.conj(bq)))
+            g = complex(ap @ _times(B, np.conj(bq)))
             t = lam_diff * g
             R[p + q] += t
             mag[p + q] += abs(t)
@@ -464,8 +464,8 @@ def singular_sequence_norm(s: Hypersingularity, n: int) -> float:
         raise DimensionMismatch("blow-up sequence needs a simple singularity")
     phi = s.poly.coeffs[0]
     P = s.pencil
-    g_mass = float(np.real(np.conj(phi) @ (P.mass_one @ phi)))
-    g_stiff = float(np.real(np.conj(phi) @ (P.stiffness_one @ phi)))
+    g_mass = float(np.real(np.conj(phi) @ _times(P.mass_one, phi)))
+    g_stiff = float(np.real(np.conj(phi) @ _times(P.stiffness_one, phi)))
     mu = s.lam + 1.0 / n
     rho = s.cutoff_rho
     re2 = 2 * np.real(mu)

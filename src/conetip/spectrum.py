@@ -74,10 +74,10 @@ def lambda_from_Lambda(Lambda: complex):
 
 
 def _times(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``M @ V`` for a C-contiguous complex vector or block ``V``; a real ``M``
-    multiplies its real and imaginary parts as one real block, with no complex
-    copy of M."""
-    if np.iscomplexobj(M):
+    """``M @ V``; a real ``M`` times a C-contiguous complex vector or block
+    ``V`` multiplies its real and imaginary parts as one real block, with no
+    complex copy of M."""
+    if np.iscomplexobj(M) or not np.iscomplexobj(V):
         return M @ V
     W = V.reshape(len(V), -1).view(float)
     return (M @ W).view(complex).reshape(V.shape)
@@ -168,11 +168,13 @@ def _weight_one_solve(P: PencilMatrices):
     rows above it ``s_plus`` times, with ``s = sigma + i delta``.  Dividing
     these factors out leaves ``K1 - Lambda M1 + e_p (a - Lambda b)^T``, with
     ``a`` and ``b`` read from row ``p`` of the pencil itself.  With
-    ``K1 V = M1 V diag(mu)``, ``V^T M1 V = I`` (one Cholesky factor of M1,
-    one symmetric eigensolve, independent of kappa and delta) and
-    ``u = V[p]``, the eigenvalues are those of ``diag(mu) + gamma u w^T``,
-    ``w = V^T a - mu V^T b``, ``gamma = 1 / (1 + u . V^T b)``: ``mu`` itself
-    at ``kappa = 1``, where ``w = 0``.  The eigenvector of ``Lambda_j`` is
+    ``K1 V = M1 V diag(mu)``, ``V^T M1 V = I`` (:func:`_weight_one_basis`:
+    a banded Cholesky factor of M1 and one symmetric eigensolve, independent
+    of kappa and delta) and ``u = V[p]``, the eigenvalues are those of
+    ``diag(mu) + gamma u w^T``, ``w = V^T a - mu V^T b``,
+    ``gamma = 1 / (1 + u . V^T b)``.  At ``kappa = 1``, where ``w = 0``, the
+    pencil is the weight-one pencil, and ``(mu, V)`` is returned as it is
+    (as complex arrays).  Otherwise the eigenvector of ``Lambda_j`` is
     ``V y`` with the Cauchy vector ``y = u / (mu - Lambda_j)``, all of them
     from one product.
 
@@ -186,18 +188,21 @@ def _weight_one_solve(P: PencilMatrices):
 
     Every dense step runs in numpy's BLAS: numpy and scipy ship one OpenBLAS
     each, with its own worker threads, and handing the CPU from one to the
-    other between large products stalls.
+    other between large products stalls.  The band factor and substitutions
+    of the basis are scipy's LAPACK, but ``dpbtrf`` and ``dtbtrs`` are
+    level-2 band routines that start no worker threads.
     """
     cap, K1, M1 = P.cap, P.stiffness_one, P.mass_one
     p = cap.interface_dof
     s_plus = cap.material.sigma_plus + (1j * P.delta if P.delta else 0.0)
     ab = np.stack([P.A[p], P.B[p]]) / s_plus - np.stack([K1[p], M1[p]])
-    mu, V = _weight_one_basis(K1, M1)
+    mu, V = _weight_one_basis(K1, M1, cap.mesh.element_order)
     Vab = ab.real @ V + 1j * (ab.imag @ V) if np.iscomplexobj(ab) else ab @ V
     u, w = V[p], Vab[0] - mu * Vab[1]
+    if not w.any():
+        return mu.astype(complex), np.array(V, dtype=complex, order="C")
     gamma = 1.0 / (1.0 + Vab[1] @ u)
-    Lams = (np.linalg.eigvals(np.diag(mu) + gamma * np.outer(u, w)) if w.any()
-            else mu).astype(complex)
+    Lams = np.linalg.eigvals(np.diag(mu) + gamma * np.outer(u, w)).astype(complex)
     cols = np.arange(len(mu))
     # the pole nearest to each Lambda_j (mu is real and ascending)
     i = np.clip(np.searchsorted(mu, Lams.real), 1, len(mu) - 1)
@@ -218,12 +223,29 @@ def _weight_one_solve(P: PencilMatrices):
     return Lams, _times(V, Y)
 
 
-def _weight_one_basis(K1: np.ndarray, M1: np.ndarray):
+def _weight_one_basis(K1: np.ndarray, M1: np.ndarray, u: int):
     """``(mu, V)`` with ``K1 V = M1 V diag(mu)``, ``V^T M1 V = I``, ``mu``
-    ascending: one symmetric eigensolve of ``L^-1 K1 L^-T``, ``M1 = L L^T``."""
-    L = np.linalg.cholesky(M1)
-    mu, Q = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, K1).T))
-    return mu, np.linalg.solve(L.T, Q)
+    ascending: one symmetric eigensolve of ``C = L^-1 K1 L^-T``.
+
+    ``M1 = L L^T`` is factored on its band (half-bandwidth ``u``, the element
+    order) by LAPACK's banded Cholesky ``dpbtrf``, and ``C`` and
+    ``V = L^-T Q`` come from banded triangular substitutions ``dtbtrs``, so
+    each solve costs O(n^2 u), not a dense O(n^3) LU.  A mass matrix that is
+    not positive definite raises :class:`numpy.linalg.LinAlgError`."""
+    L, info = scipy.linalg.lapack.dpbtrf(_band(M1, u)[u:], lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"mass matrix not positive definite (info {info})")
+    mu, Q = np.linalg.eigh(_lower_solve(L, _lower_solve(L, K1).T))
+    return mu, _lower_solve(L, Q, trans="T")
+
+
+def _lower_solve(L: np.ndarray, X: np.ndarray, trans: str = "N") -> np.ndarray:
+    """``L^-1 X`` (``trans="T"``: ``L^-T X``) for the lower band factor ``L``
+    of :func:`_weight_one_basis`."""
+    Y, info = scipy.linalg.lapack.dtbtrs(L, X, uplo="L", trans=trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular band factor (info {info})")
+    return Y
 
 
 def _inverse_step(P: PencilMatrices, Lam: complex, v: np.ndarray):
@@ -342,11 +364,12 @@ def jordan_chains(P: PencilMatrices, le: LineEigenvalue) -> LineEigenvalue:
         M = P.A - le.Lambda * P.B
         prev2, prev1 = None, le.vector
         while len(chain) < JORDAN_MAX_CHAIN - 1:
-            rhs = 2j * le.eta * (P.B @ prev1)
+            B_prev1 = _times(P.B, prev1)
+            rhs = 2j * le.eta * B_prev1
             if prev2 is not None:
-                rhs = rhs + P.B @ prev2
+                rhs += _times(P.B, prev2)
             x, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-            res = np.linalg.norm(M @ x - rhs) / np.linalg.norm(P.B @ prev1)
+            res = np.linalg.norm(_times(M, x) - rhs) / np.linalg.norm(B_prev1)
             if res > RESIDUAL_TOL:
                 break
             chain.append(x)

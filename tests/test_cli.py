@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import conetip as ct
 from conetip.cli import main, run_command
@@ -304,3 +305,52 @@ def test_cli_main_runs(tmp_path):
         "output": {"directory": str(tmp_path / "out")}}))
     assert main(["aleph", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "aleph.json").exists()
+
+
+_RUN_DECISION_COMMANDS = """
+import sys
+from conetip.cli import main
+cfg_dir, out = sys.argv[1:]
+for sub in ("spectrum", "weights", "basis"):
+    assert main([sub, "--config", f"{cfg_dir}/{sub}.json", "--out", f"{out}/{sub}"]) == 0
+"""
+
+
+def _read_decision_outputs(out):
+    rows = [line.split(",") for line in
+            (out / "spectrum" / "spectrum.csv").read_text().splitlines()[1:]]
+    Lams = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+    basis = json.loads((out / "basis" / "basis.json").read_text())
+    return {
+        "rows": [(int(r[0]), r[5]) for r in rows],
+        "im_sign": np.sign(Lams.imag).tolist(),
+        "beta_star": json.loads((out / "weights" / "weights.json").read_text())["beta_star"],
+        "basis": (basis["n_outgoing"], basis["dim"],
+                  [(m["mode"], m["chain_level"], m["conjugated"]) for m in basis["members"]]),
+    }, Lams, np.array([m["eta"] for m in basis["members"]])
+
+
+def test_decisions_do_not_depend_on_blas_threads(tmp_path):
+    # every decision of spectrum, weights and basis is the same with one and
+    # two OpenBLAS threads (set in the child's environment only): row modes,
+    # order and classes, the sign of Im Lambda, beta_star, the outgoing count
+    # and the members; the values agree to rounding level
+    for sub in ("spectrum", "weights", "basis"):
+        (tmp_path / f"{sub}.json").write_text(json.dumps({
+            "subcommand": sub,
+            "geometry": {"kind": "internal", "alpha": np.pi / 4},
+            "material": {"kappa": -0.5}, "modes": [0, 1, 2],
+            "mesh": {"elements": 64, "order": 2}}))
+    src = pathlib.Path(ct.__file__).resolve().parents[1]
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", _RUN_DECISION_COMMANDS, str(tmp_path), str(out)],
+                       check=True, capture_output=True, env=env, timeout=300)
+        runs.append(_read_decision_outputs(out))
+    (one, Lams_1, eta_1), (two, Lams_2, eta_2) = runs
+    assert one == two
+    assert np.all(np.abs(Lams_1 - Lams_2) <= 1e-9 * np.maximum(1.0, np.abs(Lams_1)))
+    assert_allclose(eta_2, eta_1, rtol=1e-9)

@@ -37,6 +37,11 @@ def test_residuals_certified(critical_spectrum):
     assert all(p.residual < 1e-8 for p in critical_spectrum.pairs)
 
 
+_RIM_GEOMETRIES = [ct.CapGeometry("internal", np.pi / 4)] + [
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=3 * np.pi / 4, outer_bc=bc)
+    for bc in ("dirichlet", "neumann")]
+
+
 def _per_vector_reference(P):
     # the former solve: one eigenvector at a time, residual over the SVD
     # 2-norms of A and B; returns the certified (Lambda, vector, residual)
@@ -59,12 +64,9 @@ def _per_vector_reference(P):
 
 
 def test_solve_matches_per_vector_reference(critical_material):
-    geometries = [ct.CapGeometry("internal", np.pi / 4)] + [
-        ct.CapGeometry("boundary", np.pi / 4, alpha_outer=3 * np.pi / 4, outer_bc=bc)
-        for bc in ("dirichlet", "neumann")]
     by_Lambda = lambda t: (t[0].real, t[0].imag)
     for g, order, mode, delta in itertools.product(
-            geometries, (1, 2), (0, 1, 2), (0.0, 1e-3)):
+            _RIM_GEOMETRIES, (1, 2), (0, 1, 2), (0.0, 1e-3)):
         cap = ct.build_cap(g, critical_material, mode, 24, order)
         P = ct.assemble_dissipative_pencil(cap, delta) if delta else ct.assemble_pencil(cap)
         # the QZ oracle of the weight-one solve (see
@@ -124,6 +126,44 @@ def test_weight_one_solve_decoupled_pole():
     P = ct.pencil_for(ct.CapGeometry("internal", 1.1),
                       ct.MaterialSpec.from_contrast(-0.3), 4, 256, 2)
     _assert_matches_qz(P)
+
+
+def _assert_basis_contract(P):
+    # K1 V = M1 V diag(mu) and V^T M1 V = I from the band factor, mu ascending
+    # and equal to the dense symmetric-definite eigenvalues (errors measured
+    # against the largest mu: a Neumann rim has mu_0 ~ 1e-13); at kappa = 1
+    # the pencil is the weight-one pencil, and solve_pencil returns the basis
+    K1, M1 = P.stiffness_one, P.mass_one
+    mu, V = spectrum._weight_one_basis(K1, M1, P.cap.mesh.element_order)
+    assert np.linalg.norm(K1 @ V - M1 @ V * mu) <= 1e-12 * np.linalg.norm(K1)
+    assert np.abs(V.T @ M1 @ V - np.eye(len(mu))).max() <= 1e-12
+    assert np.all(np.diff(mu) >= 0)
+    ref = scipy.linalg.eigh(K1, M1, eigvals_only=True)
+    assert np.abs(mu - ref).max() <= 1e-12 * np.abs(ref).max()
+    spec = ct.solve_pencil(P)
+    assert spec.n_rejected == 0
+    assert np.array_equal(spec.Lambdas, mu)
+    W = _normalize_one(V, M1)
+    assert all(np.array_equal(p.vector, W[:, j]) for j, p in enumerate(spec.pairs))
+
+
+@pytest.mark.parametrize("geometry", _RIM_GEOMETRIES)
+def test_weight_one_basis_contract(geometry, positive_material):
+    for order, mode in itertools.product((1, 2), (0, 1, 2)):
+        _assert_basis_contract(ct.pencil_for(geometry, positive_material, mode, 24, order))
+
+
+def test_weight_one_basis_contract_fine(quarter_tip, positive_material):
+    _assert_basis_contract(ct.pencil_for(quarter_tip, positive_material, 1, 256, 2))
+
+
+def test_weight_one_basis_needs_a_definite_mass(quarter_tip, positive_material):
+    P = ct.pencil_for(quarter_tip, positive_material, 1, 24, 2)
+    M1 = P.mass_one.copy()
+    M1[5, 5] = -M1[5, 5]
+    for mass in (M1, -P.mass_one):
+        with pytest.raises(np.linalg.LinAlgError):
+            spectrum._weight_one_basis(P.stiffness_one, mass, 2)
 
 
 def test_solve_pencil_refuses_a_pencil_without_cap():
