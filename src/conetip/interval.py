@@ -10,7 +10,9 @@ where ``c2 = cos(a/2)^2``, ``s2 = sin(a/2)^2`` and F is Gauss's hypergeometric
 series.  ``aleph`` satisfies ``aleph(a) * aleph(pi - a) = 1`` and equals 1 at
 the half-aperture ``pi/2``.  :func:`scan_interval` finds the same interval as
 the union of the ranges of the per-mode dispersion curves ``kappa_m(eta)``;
-:func:`has_blackhole` is the independent full-spectrum check of one contrast.
+:func:`has_blackhole` is the check of one contrast that does not rest on the
+interface reduction: it counts the line roots of each mode's secular function
+(``spectrum._line_census``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .cap import (CapGeometry, MaterialSpec, _band, _region_blocks,
                   assemble_pencil, build_cap)
 from .errors import (CriticalContrastExcluded, DimensionMismatch, InvalidGeometry,
                      NoTransitionFound, SeriesDomain, SeriesNonconvergent)
-from .spectrum import line_eigenvalues, solve_pencil
+from .spectrum import _line_census
 
 SERIES_Z_MAX = 0.99
 SERIES_REL_TOL = 1e-16
@@ -72,16 +74,23 @@ def aleph(alpha: float) -> float:
 def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
                   elements: int = 64, order: int = 2, stop_at_first: bool = False):
     """Whether any azimuthal mode carries an energy-line eigenvalue at this
-    contrast.  Returns ``(flag, witnesses)`` with witnesses ``(mode, eta)``;
-    ``stop_at_first`` short-circuits after the first witnessing mode (the
-    flag is unaffected, the witness list is then partial)."""
+    contrast.  Returns ``(flag, witnesses)`` with witnesses ``(mode, eta)``,
+    ascending in ``eta`` within a mode; ``stop_at_first`` short-circuits
+    after the first witnessing mode (the flag is unaffected, the witness list
+    is then partial).
+
+    Each mode's line eigenvalues are counted without a spectrum, as the
+    certified roots of the weight-one secular function on the line
+    (``spectrum._line_census``).  Two roots that meet at a fold within
+    rounding are one witness, as on a full spectrum, where the line
+    criterion ``LINE_TOL`` merges them."""
     if kappa >= 0:
         raise CriticalContrastExcluded("contrast must be negative")
     material = MaterialSpec.from_contrast(kappa)
     witnesses = []
     for m in modes:
         P = assemble_pencil(build_cap(geometry, material, m, elements, order))
-        witnesses += [(m, le.eta) for le in line_eigenvalues(solve_pencil(P))]
+        witnesses += [(m, float(eta)) for eta in _line_census(P)]
         if witnesses and stop_at_first:
             break
     return len(witnesses) > 0, witnesses
@@ -90,15 +99,22 @@ def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
 def _interface_schur(A, B, face, u):
     """``Lambda -> (S, b)`` of one region, interface dof at position ``face``:
     ``S = phi^T (A - Lambda B) phi`` and ``b = phi^T B phi`` for ``phi`` the
-    unit interface value extended by one banded solve of the interior rows."""
+    unit interface value extended by one solve of the interior rows.  The
+    interior block ``A - Lambda B`` is positive definite for every
+    ``Lambda <= -1/4``, so it is solved by LAPACK's banded Cholesky ``pbsv``
+    on its lower band (half-bandwidth ``u``); a nonzero ``info`` raises
+    :class:`numpy.linalg.LinAlgError`."""
     inner = slice(1, None) if face == 0 else slice(0, -1)
     B_in, a, b = B[inner, inner], A[inner, face], B[inner, face]
-    A_band, B_band = _band(A[inner, inner], u), _band(B_in, u)
+    A_low, B_low = _band(A[inner, inner], u)[u:], _band(B_in, u)[u:]
+    pbsv, = scipy.linalg.get_lapack_funcs(("pbsv",), (A_low,))
 
     def schur(Lam):
         k = a - Lam * b
-        x = scipy.linalg.solve_banded((u, u), A_band - Lam * B_band, -k,
-                                      check_finite=False)
+        _, x, info = pbsv(A_low - Lam * B_low, -k, lower=1,
+                          overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"interior block not positive definite (info {info})")
         return (A[face, face] - Lam * B[face, face] + k @ x,
                 B[face, face] + 2.0 * (b @ x) + x @ (B_in @ x))
 

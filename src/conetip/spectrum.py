@@ -13,11 +13,12 @@ eigenvalues with real ``Lambda < -1/4`` sit on the energy line
 ``Re(lambda) = -1/2`` and generate propagating (black-hole) singularities.
 At such a ``Lambda`` both region blocks are definite on their interior dofs,
 so a kernel vector is fixed by its interface value and each line eigenvalue
-has exactly one eigenvector.  This module detects line eigenvalues, grows a
-Jordan chain above the eigenvector when its sigma-weighted self-product
-``phi^T B phi`` vanishes (a fold of the dispersion relation, where the Krein
-sign changes), and derives radial weight exponents from the spectrum right of
-the line.
+has exactly one eigenvector.  This module detects line eigenvalues (on a
+solved spectrum, or counted from the secular function alone by
+:func:`_line_census`), grows a Jordan chain above the eigenvector when its
+sigma-weighted self-product ``phi^T B phi`` vanishes (a fold of the
+dispersion relation, where the Krein sign changes), and derives radial
+weight exponents from the spectrum right of the line.
 """
 
 from __future__ import annotations
@@ -192,16 +193,9 @@ def _weight_one_solve(P: PencilMatrices):
     of the basis are scipy's LAPACK, but ``dpbtrf`` and ``dtbtrs`` are
     level-2 band routines that start no worker threads.
     """
-    cap, K1, M1 = P.cap, P.stiffness_one, P.mass_one
-    p = cap.interface_dof
-    s_plus = cap.material.sigma_plus + (1j * P.delta if P.delta else 0.0)
-    ab = np.stack([P.A[p], P.B[p]]) / s_plus - np.stack([K1[p], M1[p]])
-    mu, V = _weight_one_basis(K1, M1, cap.mesh.element_order)
-    Vab = ab.real @ V + 1j * (ab.imag @ V) if np.iscomplexobj(ab) else ab @ V
-    u, w = V[p], Vab[0] - mu * Vab[1]
+    mu, V, u, w, gamma = _secular_terms(P)
     if not w.any():
         return mu.astype(complex), np.array(V, dtype=complex, order="C")
-    gamma = 1.0 / (1.0 + Vab[1] @ u)
     Lams = np.linalg.eigvals(np.diag(mu) + gamma * np.outer(u, w)).astype(complex)
     cols = np.arange(len(mu))
     # the pole nearest to each Lambda_j (mu is real and ascending)
@@ -221,6 +215,109 @@ def _weight_one_solve(P: PencilMatrices):
     Y[:, exact] = 0.0
     Y[i[exact], cols[exact]] = 1.0
     return Lams, _times(V, Y)
+
+
+def _secular_terms(P: PencilMatrices):
+    """``(mu, V, u, w, gamma)`` of a cap's pencil, whose eigenvalues are those
+    of ``diag(mu) + gamma u w^T`` (see :func:`_weight_one_solve`): the
+    weight-one basis ``(mu, V)``, ``u = V[p]``, ``w = V^T a - mu V^T b`` and
+    ``gamma = 1 / (1 + u . V^T b)``, with ``a`` and ``b`` read from row ``p``
+    of the pencil."""
+    cap, K1, M1 = P.cap, P.stiffness_one, P.mass_one
+    p = cap.interface_dof
+    s_plus = cap.material.sigma_plus + (1j * P.delta if P.delta else 0.0)
+    ab = np.stack([P.A[p], P.B[p]]) / s_plus - np.stack([K1[p], M1[p]])
+    mu, V = _weight_one_basis(K1, M1, cap.mesh.element_order)
+    Vab = ab.real @ V + 1j * (ab.imag @ V) if np.iscomplexobj(ab) else ab @ V
+    u = V[p]
+    return mu, V, u, Vab[0] - mu * Vab[1], 1.0 / (1.0 + Vab[1] @ u)
+
+
+def _line_census(P: PencilMatrices) -> np.ndarray:
+    """Ascending ``eta`` of the energy-line eigenvalues of an undamped cap
+    pencil, from its secular function alone (no eigensolve, no vectors).
+
+    With ``Lambda = -1/4 - t``, ``t = eta^2``, the line eigenvalues are the
+    roots ``t > 0`` of ``h(t) = sum c_i / (d_i + t) = -1/gamma``, with
+    ``c = u w`` and ``d = mu + 1/4 > 0`` (:func:`_secular_terms`), so ``h``
+    has no pole on the line; no root lies beyond the tail bound
+    ``T = sum |c_i| / |1/gamma| - min d``.  Each term is monotone in ``t``,
+    so on ``[a, b]`` the sums of the termwise minima and maxima of the
+    endpoint values enclose ``h``, and likewise ``h'``; both enclosures are
+    widened by ``4 n eps`` times the sum of the terms' magnitudes (and
+    ``|1/gamma|``), which bounds the rounding of each sum.
+
+    Starting from a partition of ``[0, T]`` geometric in ``min d + t``,
+    every interval is, in one vectorized step per round, dropped when its
+    enclosure excludes the target, kept as a root when ``h'`` keeps one sign
+    and ``h - target`` changes sign at its endpoints (exactly one root), and
+    split at its midpoint otherwise.  An interval where ``h'`` may vanish and
+    the width of the ``h`` enclosure is within twice its widening sits at a
+    fold of the dispersion relation, where two roots meet within rounding: it
+    is not split again, which bounds the work there.  Touching fold intervals
+    form one fold band, one witness at its midpoint, unless ``h`` lies on
+    its extremum's side of the target at both ends of the band: the fold's
+    two roots are then the sign changes outside it.  The roots are bisected
+    together to rounding.  At ``kappa = 1`` (``w = 0``) ``T < 0``: no root.
+    """
+    if P.delta != 0:
+        raise NotApplicableDissipative("pencil carries dissipation")
+    mu, _, u, w, gamma = _secular_terms(P)
+    c, d, target = (u * w)[:, None], (mu + 0.25)[:, None], -1.0 / gamma
+    widen = 4.0 * len(mu) * np.finfo(float).eps
+
+    def h(t):
+        return (c / (d + t)).sum(axis=0)
+
+    d0 = d.min()
+    T = np.abs(c).sum() / abs(target) - d0
+    if not T > 0:
+        return np.empty(0)
+    edges = np.geomspace(d0, d0 + T, 33) - d0
+    h_edges = h(edges)
+    a, b, ha, hb = edges[:-1], edges[1:], h_edges[:-1], h_edges[1:]
+    roots, folds = [], []
+    while len(a):
+        Fa, Fb = c / (d + a), c / (d + b)
+        lo, hi = np.minimum(Fa, Fb).sum(axis=0), np.maximum(Fa, Fb).sum(axis=0)
+        e_h = widen * (np.abs(Fa).sum(axis=0) + abs(target))
+        Ga, Gb = Fa / (d + a), Fb / (d + b)       # h' = -sum G
+        g_lo, g_hi = -np.maximum(Ga, Gb).sum(axis=0), -np.minimum(Ga, Gb).sum(axis=0)
+        e_g = widen * np.abs(Ga).sum(axis=0)
+        hit = (lo - e_h <= target) & (target <= hi + e_h)
+        monotone = (g_lo - e_g > 0) | (g_hi + e_g < 0)
+        root = hit & monotone & ((ha > target) != (hb > target))
+        fold = hit & ~monotone & (hi - lo <= 2.0 * e_h)
+        split = hit & ~monotone & ~fold
+        roots.append(np.stack([a, b, ha])[:, root])
+        folds.append(np.stack([a, b, ha, hb])[:, fold])
+        a, b, ha, hb = a[split], b[split], ha[split], hb[split]
+        m = 0.5 * (a + b)
+        hm = h(m)
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        ha, hb = np.concatenate([ha, hm]), np.concatenate([hm, hb])
+    folds = np.hstack(folds)
+    fa, fb, fha, fhb = folds[:, np.argsort(folds[0])]
+    t_band = np.empty(0)
+    if len(fa):
+        # one band per run of touching fold intervals
+        first = np.flatnonzero(np.r_[True, fb[:-1] != fa[1:]])
+        last = np.r_[first[1:] - 1, len(fa) - 1]
+        mid = 0.5 * (fa[first] + fb[last])
+        peak = (c / (d + mid) ** 3).sum(axis=0) < 0      # h'' < 0: a maximum
+        outside = ((fha[first] > target) == peak) & ((fhb[last] > target) == peak)
+        t_band = mid[~outside]
+    # the roots, bisected together to rounding
+    a, b, ha = np.hstack(roots)
+    above = ha > target
+    while True:
+        m = 0.5 * (a + b)
+        if not np.any((a < m) & (m < b)):
+            break
+        right = (h(m) > target) == above
+        a, b = np.where(right, m, a), np.where(right, b, m)
+    t = np.sort(np.concatenate([0.5 * (a + b), t_band]))
+    return np.sqrt(t)
 
 
 def _weight_one_basis(K1: np.ndarray, M1: np.ndarray, u: int):

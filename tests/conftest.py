@@ -102,6 +102,16 @@ def qz_spectrum(P):
                              pencil=P, n_rejected=int(np.count_nonzero(~keep)))
 
 
+def full_spectrum_witnesses(geometry, kappa, modes, elements=64, order=2):
+    """``(mode, eta)`` of every line eigenvalue of the full spectrum, by
+    ``line_eigenvalues(solve_pencil(P))`` per mode: the oracle of the
+    secular-function census behind ``has_blackhole``, which solves no
+    spectrum."""
+    mat = ct.MaterialSpec.from_contrast(kappa)
+    return [(m, le.eta) for m in modes for le in ct.line_eigenvalues(
+        ct.solve_pencil(ct.pencil_for(geometry, mat, m, elements, order)))]
+
+
 def defective_pencil(eta=1.0):
     """Exactly defective 2x2 symbol pencil: eigenvalue on the line with a
     sigma-self-orthogonal eigenvector and a Jordan chain of length 2."""

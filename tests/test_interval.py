@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,11 @@ from scipy.integrate import quad
 
 import conetip as ct
 from conetip.errors import (CriticalContrastExcluded, DimensionMismatch,
-                            InvalidGeometry, NoTransitionFound, SeriesDomain)
+                            InvalidGeometry, NoTransitionFound,
+                            NotApplicableDissipative, SeriesDomain)
+from conetip.spectrum import _line_census
+
+from conftest import full_spectrum_witnesses
 
 
 def test_hyp2f1_at_zero():
@@ -64,6 +70,77 @@ def test_has_blackhole(quarter_tip):
     assert not flag and wit == []
     with pytest.raises(CriticalContrastExcluded):
         ct.has_blackhole(quarter_tip, 0.5)
+
+
+CENSUS_GEOMETRIES = [
+    ct.CapGeometry("internal", 0.6),
+    ct.CapGeometry("internal", np.pi / 4),
+    ct.CapGeometry("internal", 1.2),
+    ct.CapGeometry("boundary", np.pi / 4, np.pi / 2, "dirichlet"),
+    ct.CapGeometry("boundary", 1.0, 2.0, "dirichlet"),
+    ct.CapGeometry("boundary", np.pi / 4, 3 * np.pi / 4, "neumann"),
+]
+
+
+def _assert_census_matches_full_spectrum(geometry, kappa, elements):
+    # per mode: the same count as the full spectrum, the same eta, and each
+    # eta on the banded dispersion curve at this contrast
+    modes = range(5)
+    _, wit = ct.has_blackhole(geometry, kappa, modes=modes, elements=elements)
+    oracle = full_spectrum_witnesses(geometry, kappa, modes, elements)
+    for m in modes:
+        got = [eta for mm, eta in wit if mm == m]
+        want = [eta for mm, eta in oracle if mm == m]
+        assert len(got) == len(want), (geometry, kappa, m, got, want)
+        assert_allclose(got, want, rtol=5e-9, atol=0)
+        relation = ct.dispersion_relation(geometry, m, elements)
+        for eta in got:
+            assert abs(relation(eta)[0] - kappa) <= 1e-10, (geometry, kappa, m, eta)
+
+
+@pytest.mark.parametrize("geometry", CENSUS_GEOMETRIES)
+def test_has_blackhole_census_matches_full_spectrum(geometry):
+    for kappa in (-0.3, -0.5, -0.7, -0.9, -0.98):
+        _assert_census_matches_full_spectrum(geometry, kappa, 64)
+
+
+@pytest.mark.parametrize("geometry, kappa", [
+    (CENSUS_GEOMETRIES[1], -0.98),
+    (CENSUS_GEOMETRIES[5], -0.98),
+])
+def test_has_blackhole_census_matches_full_spectrum_fine(geometry, kappa):
+    _assert_census_matches_full_spectrum(geometry, kappa, 256)
+
+
+def test_line_census_at_a_fold(quarter_tip):
+    # the fold of kappa_1(eta) at N=96, where the full spectrum calls a pair
+    # 4e-6 off the real axis one line eigenvalue: the census stops splitting
+    # inside the rounding band and reports one witness, in bounded time
+    kappa0 = -0.7806797994809195
+    pencil = lambda k: ct.pencil_for(quarter_tip, ct.MaterialSpec.from_contrast(k),
+                                     1, 96, 2)
+    P = pencil(kappa0)
+    t0 = time.perf_counter()
+    at = _line_census(P)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(at) == 1 and abs(at[0] - 2.3631823) < 1e-6
+    below = _line_census(pencil(kappa0 - 1e-8))
+    oracle = [eta for _, eta in full_spectrum_witnesses(quarter_tip, kappa0 - 1e-8, (1,), 96)]
+    assert_allclose(below, oracle, rtol=5e-9, atol=0)
+    assert_allclose(below, [2.36251158, 2.36385320], rtol=0, atol=1e-8)
+    assert _line_census(pencil(kappa0 + 1e-8)).size == 0
+    # 3e-13 below the fold the two roots lie 7e-6 apart, outside the band
+    # that the rounding bound leaves between them: two witnesses, not three
+    assert len(_line_census(pencil(kappa0 - 3e-13))) == 2
+
+
+def test_line_census_guards(quarter_tip, positive_material):
+    # kappa = 1 leaves the weight-one pencil, with no line eigenvalue
+    cap = ct.build_cap(quarter_tip, positive_material, 0, 32, 2)
+    assert _line_census(ct.assemble_pencil(cap)).size == 0
+    cap = ct.build_cap(quarter_tip, ct.MaterialSpec.from_contrast(-0.5), 0, 32, 2)
+    with pytest.raises(NotApplicableDissipative):
+        _line_census(ct.assemble_dissipative_pencil(cap, 1e-3))
 
 
 def test_scan_interval_quarter(quarter_tip):
