@@ -18,8 +18,8 @@ for alpha in (0.5, np.pi / 4, 1.2, np.pi / 2, 2.2):
 
 tip = ct.CapGeometry("internal", np.pi / 4)
 print("\ncritical interval inside [-0.6, -0.06] at aperture pi/4 ...")
-ci = ct.scan_interval(tip, kappa_range=(-0.6, -0.06), grid=10,
-                      bisect_tol=1e-3, modes=(0, 1, 2), elements=64)
+ci = ct.scan_interval(tip, kappa_range=(-0.6, -0.06), modes=(0, 1, 2),
+                      elements=64)
 print(f"detected endpoint : {ci.endpoint_outer:.6f}")
 print(f"closed form       : {ci.closed_form:.6f}")
 print(f"attaining mode    : {ci.attaining_mode}")

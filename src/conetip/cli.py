@@ -58,7 +58,6 @@ def _run_spectrum(config: RunConfig) -> ResultBundle:
 def _run_interval(config: RunConfig) -> ResultBundle:
     ci = interval.scan_interval(
         config.geometry, kappa_range=tuple(config.sweep["kappa_range"]),
-        grid=config.sweep["grid"], bisect_tol=config.sweep["bisect_tol"],
         modes=config.modes, elements=config.mesh["elements"],
         order=config.mesh["order"])
     bundle = ResultBundle(config=config)

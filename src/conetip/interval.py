@@ -9,10 +9,13 @@ at -1; the other endpoint is ``-aleph(alpha)`` with
 where ``c2 = cos(a/2)^2``, ``s2 = sin(a/2)^2`` and F is Gauss's hypergeometric
 series.  ``aleph`` satisfies ``aleph(a) * aleph(pi - a) = 1`` and equals 1 at
 the half-aperture ``pi/2``.  :func:`scan_interval` finds the same interval as
-the union of the ranges of the per-mode dispersion curves ``kappa_m(eta)``;
+the union of the ranges of the per-mode dispersion curves ``kappa_m(eta)``,
+with no fixed sampling of the curves and no tolerance option;
 :func:`has_blackhole` is the check of one contrast that does not rest on the
 interface reduction: it counts the line roots of each mode's secular function
-(``spectrum._line_census``).
+(``spectrum._line_census``).  At the interval's inner end these roots cut
+each curve into pieces that lie on one side of that end, and so bracket
+every fold the scan refines.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import scipy.linalg
 
 from .cap import (CapGeometry, MaterialSpec, _band, _region_blocks,
                   assemble_pencil, build_cap)
-from .errors import (CriticalContrastExcluded, DimensionMismatch, InvalidGeometry,
-                     NoTransitionFound, SeriesDomain, SeriesNonconvergent)
+from .errors import (CriticalContrastExcluded, InvalidGeometry, NoTransitionFound,
+                     SeriesDomain, SeriesNonconvergent)
 from .spectrum import _line_census
 
 SERIES_Z_MAX = 0.99
@@ -34,6 +37,7 @@ SERIES_MAX_TERMS = 10 ** 6
 ALEPH_ALPHA_GUARD = 0.2
 DEFAULT_MODES = (0, 1, 2, 3, 4)
 CONTRAST_NEIGHBORHOOD_GUARD = 0.02
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
@@ -82,8 +86,10 @@ def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
     Each mode's line eigenvalues are counted without a spectrum, as the
     certified roots of the weight-one secular function on the line
     (``spectrum._line_census``).  Two roots that meet at a fold within
-    rounding are one witness, as on a full spectrum, where the line
-    criterion ``LINE_TOL`` merges them."""
+    rounding are one witness.  A full spectrum shows the same band as two
+    real roots, as their ``LINE_TOL`` merge, or as a conjugate pair just off
+    the real axis, which ``line_eigenvalues`` keeps as two line
+    eigenvalues."""
     if kappa >= 0:
         raise CriticalContrastExcluded("contrast must be negative")
     material = MaterialSpec.from_contrast(kappa)
@@ -105,18 +111,22 @@ def _interface_schur(A, B, face, u):
     on its lower band (half-bandwidth ``u``); a nonzero ``info`` raises
     :class:`numpy.linalg.LinAlgError`."""
     inner = slice(1, None) if face == 0 else slice(0, -1)
-    B_in, a, b = B[inner, inner], A[inner, face], B[inner, face]
-    A_low, B_low = _band(A[inner, inner], u)[u:], _band(B_in, u)[u:]
+    # copies, not views: the relation must not keep the dense blocks alive
+    a, b = A[inner, face].copy(), B[inner, face].copy()
+    A_ff, B_ff = A[face, face], B[face, face]
+    A_low, B_low = (_band(M[inner, inner], u)[u:] for M in (A, B))
     pbsv, = scipy.linalg.get_lapack_funcs(("pbsv",), (A_low,))
+    # x^T B x over the lower band's entries B[i + k, i], off the diagonal twice
+    k, i = np.nonzero(B_low)
+    w, j = np.where(k > 0, 2.0, 1.0) * B_low[k, i], i + k
 
     def schur(Lam):
-        k = a - Lam * b
-        _, x, info = pbsv(A_low - Lam * B_low, -k, lower=1,
+        f = a - Lam * b
+        _, x, info = pbsv(A_low - Lam * B_low, -f, lower=1,
                           overwrite_ab=1, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"interior block not positive definite (info {info})")
-        return (A[face, face] - Lam * B[face, face] + k @ x,
-                B[face, face] + 2.0 * (b @ x) + x @ (B_in @ x))
+        return A_ff - Lam * B_ff + f @ x, B_ff + 2.0 * (b @ x) + w @ (x[i] * x[j])
 
     return schur
 
@@ -155,10 +165,12 @@ class CriticalInterval:
     """Critical interval with closed-form comparison.
 
     ``endpoint_outer`` / ``endpoint_inner`` are the ends of the union of the
-    dispersion curves' ranges away from and toward -1 (the latter clamped to
-    the scan range), ``attaining_mode`` the mode reaching ``endpoint_outer``,
-    ``per_mode`` the :func:`has_blackhole` witnesses at ``endpoint_inner``
-    and ``flags`` the caveats of the comparison.
+    dispersion curves' ranges away from and toward -1 (the latter the
+    extreme of the curves' values at ``eta = 0`` and ``eta_max``, clamped to
+    the scan range), ``attaining_mode`` the mode reaching ``endpoint_outer``
+    (the first given on ties), ``per_mode`` the :func:`has_blackhole`
+    witnesses at ``endpoint_inner``, which bracket the folds the scan
+    refines, and ``flags`` the caveats of the comparison.
     """
 
     alpha: float
@@ -171,19 +183,27 @@ class CriticalInterval:
 
 
 def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
-                  grid: int = 24, bisect_tol: float = 1e-3,
                   modes=DEFAULT_MODES, elements: int = 64,
                   order: int = 2) -> CriticalInterval:
     """Critical interval as the union of the ranges of the dispersion curves
-    ``kappa_m(eta)``, ``eta >= 0`` (see :func:`dispersion_relation`).
+    ``kappa_m(eta)``, ``0 <= eta <= eta_max = elements/pi`` (mesh width times
+    eta of about 1; see :func:`dispersion_relation`).
 
-    Each curve is sampled at ``eta_k = (elements/pi) (k/(grid-1))^2``, i.e.
-    up to mesh width times eta of about 1.  Its far end from -1 (``eta = 0``
-    in mode 0, a fold in modes >= 1) is refined by bisecting the bracket of
-    the extreme sample on the Krein sign down to ``bisect_tol`` in eta.  The
-    range must avoid the 0.02 neighborhood of -1 and contain the far end
-    (else ``no-transition-found``).  The modes are scanned one after
-    another, in the order given.
+    The inner end (toward -1) is the extreme of the curves' values at
+    ``eta = 0`` and ``eta_max``, clamped to the range.  The
+    :func:`has_blackhole` witnesses at that contrast are the points where a
+    curve meets it, so they cut ``[0, eta_max]`` into intervals on each of
+    which the curve stays on one side; one evaluation at the midpoint tells
+    which.  Where it lies beyond the inner end, its extreme is at an end of
+    the interval (``eta = 0`` in mode 0 of an internal tip) or, when the
+    curve moves away from -1 at the left end and toward it at the right end,
+    at the fold between them, found by bisecting on the Krein sign until the
+    bracket is within ``sqrt(eps)`` of its end: ``kappa`` is stationary at a
+    fold, so its error is then at rounding level.  The far end is the
+    extreme over the modes, the first of them on ties.  The range must
+    avoid the 0.02 neighborhood of -1 and contain the far end (else
+    ``no-transition-found``).  The modes are scanned one after another, in
+    the order given.
     """
     lo, hi = sorted(kappa_range)
     if lo >= 0 or hi >= 0:
@@ -192,37 +212,48 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
             or (lo < -1.0 < hi):
         raise CriticalContrastExcluded(
             f"range must avoid the {CONTRAST_NEIGHBORHOOD_GUARD} neighborhood of -1")
-    if grid < 1 or not bisect_tol > 0:
-        raise DimensionMismatch("need grid >= 1 eta samples and bisect_tol > 0")
     # curves are compared in the coordinate far * kappa, growing away from -1
     far = 1.0 if lo > -1.0 else -1.0
-    etas = elements / np.pi * np.linspace(0.0, 1.0, grid) ** 2
+    eta_max = elements / np.pi
+    relations = [dispersion_relation(geometry, m, elements, order) for m in modes]
+    ends = [(relation(0.0), relation(eta_max)) for relation in relations]
+    y_inner = min(far * kappa for end in ends for kappa, _ in end)
+    endpoint_inner = float(np.clip(far * y_inner, lo, hi))
+    _, inner_wit = has_blackhole(geometry, endpoint_inner, modes, elements, order)
+    per_mode = {m: sorted(eta for (mm, eta) in inner_wit if mm == m) for m in modes}
 
-    def curve_range(m):
-        relation = dispersion_relation(geometry, m, elements, order)
-        ys = [far * relation(eta)[0] for eta in etas]
-        k = int(np.argmax(ys))
-        a, b = etas[max(k - 1, 0)], etas[min(k + 1, grid - 1)]
-        outer = ys[k]
-        while b - a > bisect_tol:
+    def curve_outer(m, relation, start, stop):
+        cuts = [0.0, *(eta for eta in per_mode[m] if 0.0 < eta < eta_max), eta_max]
+        outer = max(far * start[0], far * stop[0])
+        last = len(cuts) - 2
+        for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
             mid = 0.5 * (a + b)
             kappa, krein = relation(mid)
+            if far * kappa <= far * endpoint_inner:   # not beyond, on all of [a, b]
+                continue
             outer = max(outer, far * kappa)
-            if far * krein < 0:   # still moving away from -1 as eta grows
-                a = mid
-            else:
-                b = mid
-        return outer, min(ys)
+            # the curve leaves the inner end at a witness on the left and
+            # returns at one on the right; at eta = 0 and eta_max the Krein
+            # sign tells its direction
+            if (i > 0 or far * start[1] < 0) and (i < last or far * stop[1] >= 0):
+                while True:
+                    if far * krein < 0:   # still moving away from -1 as eta grows
+                        a = mid
+                    else:
+                        b = mid
+                    if b - a <= _SQRT_EPS * b:
+                        break
+                    mid = 0.5 * (a + b)
+                    kappa, krein = relation(mid)
+                    outer = max(outer, far * kappa)
+        return outer
 
-    ranges = [curve_range(m) for m in modes]
-    attaining, (y_outer, _) = max(zip(modes, ranges), key=lambda mr: mr[1][0])
+    outers = [curve_outer(m, relation, *end)
+              for m, relation, end in zip(modes, relations, ends)]
+    attaining, y_outer = max(zip(modes, outers), key=lambda mo: mo[1])
     endpoint_outer = far * y_outer
     if not lo < endpoint_outer < hi:
         raise NoTransitionFound("no criticality transition inside the range")
-    endpoint_inner = float(np.clip(far * min(r[1] for r in ranges), lo, hi))
-
-    _, inner_wit = has_blackhole(geometry, endpoint_inner, modes, elements, order)
-    per_mode = {m: sorted(eta for (mm, eta) in inner_wit if mm == m) for m in modes}
     # no closed form for caps touching the boundary
     internal = geometry.kind == "internal"
     closed = -aleph(geometry.alpha) if internal else float("nan")

@@ -22,7 +22,9 @@ SUBCOMMANDS = ("spectrum", "interval", "aleph", "basis", "trajectory",
 
 _GEOMETRY_KEYS = {"kind", "alpha", "alpha_outer", "outer_bc"}
 _MATERIAL_KEYS = {"sigma_plus", "sigma_minus", "kappa", "delta"}
-# numeric blocks: key -> default, whose type the value must have
+# numeric blocks: key -> default, whose type the value must have; no
+# subcommand reads sweep.grid or sweep.bisect_tol, which are parsed (and
+# hashed) only because perfbench's interval configs still carry them
 _MESH_DEFAULTS = {"elements": 64, "order": 2}
 _SWEEP_DEFAULTS = {"kappa_range": [-0.9, -0.05], "grid": 24, "bisect_tol": 1e-3,
                    "delta_grid": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6],

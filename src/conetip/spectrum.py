@@ -409,7 +409,10 @@ def line_eigenvalues(spec: SpectrumResult) -> list:
     ``"line"``.  Eigenvalues closer than ``LINE_TOL`` (relative) are one line
     eigenvalue (an eigensolver splits an exact Jordan pair by about 1e-8):
     ``Lambda`` is their mean and the eigenvector that of the member with the
-    smallest residual (the first on ties).  Line eigenvalues with
+    smallest residual (the first on ties).  Two members whose nonzero
+    ``Im Lambda`` have opposite signs are a conjugate pair (as next to a
+    fold of the dispersion relation), two eigenvalues with two
+    eigenvectors, and are not merged.  Line eigenvalues with
     ``eta < ETA_MIN`` are flagged ``near_quarter`` (the double root
     ``lambda = -1/2`` is special-cased out of basis construction downstream).
     """
@@ -417,8 +420,9 @@ def line_eigenvalues(spec: SpectrumResult) -> list:
     cands.sort(key=lambda p: p.Lambda.real)
     clusters = []
     for p in cands:
-        if clusters and abs(p.Lambda.real - clusters[-1][-1].Lambda.real) \
-                <= LINE_TOL * max(1.0, abs(p.Lambda.real)):
+        q = clusters[-1][-1].Lambda if clusters else None
+        if q is not None and p.Lambda.imag * q.imag >= 0 \
+                and abs(p.Lambda.real - q.real) <= LINE_TOL * max(1.0, abs(p.Lambda.real)):
             clusters[-1].append(p)
         else:
             clusters.append([p])

@@ -62,9 +62,8 @@ def test_criterion_3_critical_interval():
         g = ct.CapGeometry("internal", np.pi / 4)
         target = -ct.aleph(np.pi / 4)
 
-        ci = ct.scan_interval(g, kappa_range=(-0.55, -0.06), grid=12,
-                              bisect_tol=1e-3, modes=(0, 1, 2, 3, 4),
-                              elements=128)
+        ci = ct.scan_interval(g, kappa_range=(-0.55, -0.06),
+                              modes=(0, 1, 2, 3, 4), elements=128)
         err128 = abs(ci.endpoint_outer - target) / abs(target)
         assert err128 < 0.02
         assert ci.attaining_mode == 0

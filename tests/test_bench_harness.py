@@ -4,9 +4,10 @@ The harness is loaded from its own directory, unedited.  Every function it
 traces must resolve under the name its tracer binds, and the small warm-up
 tasks of two workloads must pass their correctness gates, untraced and with
 every traced function wrapped (so the observation hooks read the public
-fields they rely on).
+fields they rely on).  Every config the harness sends must parse.
 """
 
+import json
 import pathlib
 import sys
 
@@ -62,3 +63,34 @@ def test_warmup_tasks_pass_their_gates(harness, workload, traced, tmp_path):
         observed = {"absorption_flux": ("pairs_used", "slope.margin", "jordan.margin"),
                     "interval_scan": ("probe.hit", "write.bytes")}[workload]
         assert all(tracer.obs[key] for key in observed)
+
+
+def test_every_benchmark_config_parses(harness, tmp_path):
+    # a change to the config contract fails here, not only in a benchmark run
+    workloads = harness[3]
+    for name, build in workloads.WORKLOADS.items():
+        for seed in (1, 2, 3):
+            w = build(ct, seed, tmp_path, 1)
+            texts = [t.config_text for t in w.tasks + w.warmup if t.config_text]
+            for text in texts + [w.first_config]:
+                assert ct.io.parse_config(text).subcommand, (name, seed, text)
+
+
+def test_ignored_sweep_keys_change_no_output(harness, tmp_path):
+    # sweep.grid and sweep.bisect_tol parse and are ignored: the warm-up's
+    # values write the same interval.json as the timed tasks' values, which
+    # are the defaults, so those configs hash as they did when the scan
+    # read them
+    w = harness[3].interval_scan(ct, 1, tmp_path, 1)
+    warmup = json.loads(w.warmup[0].config_text)
+    variants = {"warmup": warmup["sweep"],
+                "tasks": json.loads(w.tasks[0].config_text)["sweep"], "default": {}}
+    hashes, files = {}, {}
+    for name, sweep in variants.items():
+        config = ct.io.parse_config(json.dumps({**warmup, "sweep": sweep}))
+        ct.io.write_results(ct.cli.run_command(config), tmp_path / name, ["json"])
+        hashes[name] = config.config_hash
+        files[name] = (tmp_path / name / "interval.json").read_bytes()
+    assert warmup["sweep"] != variants["tasks"]
+    assert files["warmup"] == files["tasks"] == files["default"]
+    assert hashes["tasks"] == hashes["default"] != hashes["warmup"]

@@ -40,8 +40,7 @@ def test_boundary_kind_full_pipeline(boundary_critical):
 def test_boundary_scan_has_no_closed_form():
     g = ct.CapGeometry("boundary", np.pi / 4, alpha_outer=3 * np.pi / 4,
                        outer_bc="dirichlet")
-    ci = ct.scan_interval(g, kappa_range=(-0.5, -0.05), grid=6,
-                          bisect_tol=0.02, modes=(0,), elements=48)
+    ci = ct.scan_interval(g, kappa_range=(-0.5, -0.05), modes=(0,), elements=48)
     assert np.isnan(ci.closed_form)
     assert any("internal tips only" in f for f in ci.flags)
     assert -0.25 < ci.endpoint_outer < -0.05

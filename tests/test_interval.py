@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import conetip as ct
-from conetip.errors import (CriticalContrastExcluded, DimensionMismatch,
-                            InvalidGeometry, NoTransitionFound,
-                            NotApplicableDissipative, SeriesDomain)
+from conetip.errors import (CriticalContrastExcluded, InvalidGeometry,
+                            NoTransitionFound, NotApplicableDissipative,
+                            SeriesDomain)
 from conetip.spectrum import _line_census
 
 from conftest import full_spectrum_witnesses
@@ -144,8 +144,8 @@ def test_line_census_guards(quarter_tip, positive_material):
 
 
 def test_scan_interval_quarter(quarter_tip):
-    ci = ct.scan_interval(quarter_tip, kappa_range=(-0.6, -0.05), grid=12,
-                          bisect_tol=1e-3, modes=(0, 1, 2), elements=64)
+    ci = ct.scan_interval(quarter_tip, kappa_range=(-0.6, -0.05),
+                          modes=(0, 1, 2), elements=64)
     assert ci.flags == ()
     target = -ct.aleph(np.pi / 4)
     assert_allclose(ci.closed_form, target, rtol=1e-12)
@@ -166,19 +166,15 @@ def test_scan_interval_guards(quarter_tip):
     with pytest.raises(CriticalContrastExcluded):
         ct.scan_interval(quarter_tip, kappa_range=(-0.99, -0.5))
     with pytest.raises(NoTransitionFound):
-        ct.scan_interval(quarter_tip, kappa_range=(-0.12, -0.05), grid=5,
-                         modes=(0,), elements=48)
-    for bad in ({"grid": 0}, {"bisect_tol": 0.0}, {"bisect_tol": -1e-3}):
-        with pytest.raises(DimensionMismatch):
-            ct.scan_interval(quarter_tip, modes=(0,), elements=48, **bad)
+        ct.scan_interval(quarter_tip, kappa_range=(-0.12, -0.05), modes=(0,),
+                         elements=48)
 
 
 def test_scan_interval_wide_aperture():
     # mirror aperture: the interval flips to the far side of -1 and the
     # endpoint is the reciprocal of the pi/4 one
     g = ct.CapGeometry("internal", 3 * np.pi / 4)
-    ci = ct.scan_interval(g, kappa_range=(-7.0, -1.2), grid=10,
-                          bisect_tol=5e-3, modes=(0, 1), elements=64)
+    ci = ct.scan_interval(g, kappa_range=(-7.0, -1.2), modes=(0, 1), elements=64)
     target = -1.0 / ct.aleph(np.pi / 4)
     assert abs(ci.endpoint_outer - target) / abs(target) < 0.02
     assert_allclose(ci.closed_form, -ct.aleph(3 * np.pi / 4), rtol=1e-12)
@@ -241,6 +237,48 @@ def test_scan_interval_fold(quarter_tip):
                                        elements=96)[0]
     assert probe(ci.endpoint_outer - 1e-6)
     assert not probe(ci.endpoint_outer + 1e-6)
+
+
+FOLD_SCANS = [(ct.CapGeometry("internal", alpha), modes, modes[0])
+              for alpha in (0.5, np.pi / 4, 1.0, 1.2) for modes in ((1,), (2, 3))] + [
+    # mode 0 of a Neumann rim close to the interface folds too
+    (ct.CapGeometry("boundary", np.pi / 4, 3 * np.pi / 8, "neumann"), (0, 1, 2, 3, 4), 0),
+    (ct.CapGeometry("boundary", 1.0, 1.4, "neumann"), (0, 1, 2, 3, 4), 0),
+]
+
+
+@pytest.mark.parametrize("geometry, modes, attaining", FOLD_SCANS)
+def test_scan_interval_far_end_at_a_fold(geometry, modes, attaining):
+    # the far end is an interior fold of kappa_m(eta); the scan reaches it at
+    # or beyond the largest of 4001 samples of the same curves
+    ci = ct.scan_interval(geometry, kappa_range=(-0.97, -0.05), modes=modes,
+                          elements=64)
+    assert ci.attaining_mode == attaining
+    etas = np.linspace(0.0, 64 / np.pi, 4001)
+    relations = [ct.dispersion_relation(geometry, m, 64) for m in modes]
+    sampled = max(relation(eta)[0] for relation in relations for eta in etas)
+    assert sampled <= ci.endpoint_outer <= sampled + 1e-6
+
+
+def test_scan_interval_witnesses_bracket_an_inner_fold(quarter_tip, monkeypatch):
+    # a synthetic curve that moves toward -1 at both ends of [0, 16/pi] and
+    # peaks in between, above both ends, after dipping below the inner end:
+    # only the witnesses at the inner end bracket that fold
+    def relation(eta):   # krein = -dkappa/deta: negative while moving away from -1
+        return -0.6 + 0.2 * np.cos(2.0 * eta + 0.5), 0.4 * np.sin(2.0 * eta + 0.5)
+
+    def witnesses(geometry, kappa, modes, elements, order):
+        c = np.arccos((kappa + 0.6) / 0.2)
+        phases = [s * c + 2.0 * np.pi * n for n in range(3) for s in (-1.0, 1.0)]
+        etas = sorted((ph - 0.5) / 2.0 for ph in phases if ph >= 0.5)
+        return bool(etas), [(modes[0], eta) for eta in etas]
+
+    monkeypatch.setattr(ct.interval, "dispersion_relation", lambda *args: relation)
+    monkeypatch.setattr(ct.interval, "has_blackhole", witnesses)
+    ci = ct.scan_interval(quarter_tip, kappa_range=(-0.95, -0.05), modes=(0,),
+                          elements=16)
+    assert relation(0.0)[0] < -0.42 and relation(16 / np.pi)[0] < -0.65
+    assert abs(ci.endpoint_outer + 0.4) < 1e-12
 
 
 @pytest.mark.parametrize("order, expected", [(1, 2.0), (2, 4.0)])

@@ -446,10 +446,13 @@ def test_weights_skip_exactly_the_line_eigenvalues():
     assert [classify_eigenvalue(L) for L in spec.Lambdas] == ["complex"] * 2
     w = ct.spectral_weights([spec], "dirichlet")
     assert_allclose(w.beta, 7.5e-7, rtol=1e-6)
-    # 5e-7 is below it: the pair is "line" and leaves no spectrum right of it
+    # 5e-7 is below it: the pair is "line" and leaves no spectrum right of it;
+    # its members have opposite Im Lambda, so they are two line eigenvalues
+    # of one eta, not one merged eigenvalue
     spec = _near_line_spectrum(5e-7)
     assert [classify_eigenvalue(L) for L in spec.Lambdas] == ["line"] * 2
-    assert len(ct.line_eigenvalues(spec)) == 1
+    evs = ct.line_eigenvalues(spec)
+    assert len(evs) == 2 and evs[0].eta == evs[1].eta
     with pytest.raises(DimensionMismatch):
         ct.spectral_weights([spec], "dirichlet")
     assert ct.spectral_weights([spec], "neumann").beta == 2.5
