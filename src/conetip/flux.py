@@ -292,7 +292,7 @@ def flux_matrix(space: SingularSpace) -> FluxMatrix:
     if sv[-1] <= FLUX_DEGENERACY_TOL * sv[0]:
         raise SignatureMismatch(f"flux form degenerate: sigma_min/sigma_max={sv[-1] / sv[0]:.2e}")
     fm = FluxMatrix(Q=Q, basis_ref=space)
-    evals = np.linalg.eigvalsh(fm.hermitian_part)
+    evals = np.linalg.eigh(fm.hermitian_part)[0]
     if np.sum(evals > 0) != n // 2 or np.sum(evals < 0) != n // 2:
         raise SignatureMismatch("flux signature is not (N, N)")
     return fm

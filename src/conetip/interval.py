@@ -86,10 +86,9 @@ def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
     Each mode's line eigenvalues are counted without a spectrum, as the
     certified roots of the weight-one secular function on the line
     (``spectrum._line_census``).  Two roots that meet at a fold within
-    rounding are one witness.  A full spectrum shows the same band as two
-    real roots, as their ``LINE_TOL`` merge, or as a conjugate pair just off
-    the real axis, which ``line_eigenvalues`` keeps as two line
-    eigenvalues."""
+    rounding are one witness.  A full spectrum shows the same band as a
+    conjugate pair just off the real axis, which ``line_eigenvalues`` keeps
+    as two line eigenvalues when it lies within ``LINE_TOL`` of the axis."""
     if kappa >= 0:
         raise CriticalContrastExcluded("contrast must be negative")
     material = MaterialSpec.from_contrast(kappa)

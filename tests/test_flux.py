@@ -288,3 +288,20 @@ def test_blowup_fit(line_evs):
     assert slope > 0 and r2 > 0.999
     slope2, _ = ct.blowup_rate(s, [40, 80, 120, 160])
     assert abs(slope2 - slope) / slope < 0.05
+
+
+def test_flux_matrix_does_not_depend_on_the_eigensolver():
+    # line eigenvectors are phased by their interface entry, so the flux
+    # Gram built from the weight-one solve and from dense QZ agree entrywise
+    from conftest import qz_spectrum
+    g, mat = ct.CapGeometry("internal", np.pi / 4), ct.MaterialSpec.from_contrast(-0.5)
+    pencils = [ct.pencil_for(g, mat, m, 64, 2) for m in range(4)]
+    Q = []
+    for solve in (ct.solve_pencil, qz_spectrum):
+        evs = [le for P in pencils for le in ct.line_eigenvalues(solve(P))]
+        for le in evs:
+            phi_p = le.vector[le.pencil.cap.interface_dof]
+            assert phi_p.imag == 0.0 and phi_p.real > 0.0
+        Q.append(ct.flux_matrix(ct.singular_space(evs, rho=1.0)).Q)
+    assert Q[0].shape == Q[1].shape and Q[0].shape[0] >= 2
+    assert np.abs(Q[0] - Q[1]).max() <= 1e-8

@@ -546,3 +546,95 @@ def test_cross_eta_orthogonality_after_normalization(multi_eta_evs):
     v1 = pair[0].vector
     v2 = pair[1].vector
     assert abs(v1 @ (B @ np.conj(v2))) < 1e-7
+
+
+_CERTIFICATE_GEOMETRIES = [ct.CapGeometry("internal", np.pi / 4)] + [
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=3 * np.pi / 4, outer_bc=bc)
+    for bc in ("dirichlet", "neumann")]
+
+
+def test_certificate_bounds_the_formed_backward_error():
+    # each pair's residual is certified in coefficient space, before any
+    # vector is formed; it must bound the backward error of the vector that
+    # is formed when read (which is then kept, read-only)
+    for g, kappa, delta, mode, elements in itertools.product(
+            _CERTIFICATE_GEOMETRIES, (1.0, 0.5, -0.3, -0.5, -0.97), (0.0, 1e-3),
+            (0, 1, 4), (24, 64)):
+        cap = ct.build_cap(g, ct.MaterialSpec.from_contrast(kappa), mode, elements, 2)
+        P = ct.assemble_dissipative_pencil(cap, delta) if delta else ct.assemble_pencil(cap)
+        spec = ct.solve_pencil(P)
+        V = np.array([p.vector for p in spec.pairs]).T.copy()
+        formed = spectrum._backward_error(P.A, P.B, V, spec.Lambdas)
+        residual = np.array([p.residual for p in spec.pairs])
+        assert np.all(formed <= residual), (g, kappa, delta, mode, elements)
+        assert residual.max() < 1e-11
+        p = spec.pairs[0]
+        assert p.vector is p.vector and not p.vector.flags.writeable
+
+
+def _secular_roots_of(P):
+    S = spectrum._secular_terms(P)
+    Lams, _ = spectrum._weight_one_solve(S)
+    c = S.u * S.w
+    live = c != 0
+    _, bands = spectrum._real_roots(S.mu[live], c[live], -1.0 / S.gamma)
+    return Lams, bands
+
+
+def test_secular_root_layout():
+    # undamped: real roots exactly real, then exact conjugate pairs, adjacent,
+    # Im > 0 first; as many real roots as the QZ oracle finds, except at a
+    # fold band, where two roots meet within rounding
+    folds = []
+    for g, kappa, mode, elements in itertools.product(
+            _CERTIFICATE_GEOMETRIES, (0.5, -0.3, -0.5, -0.85, -0.97), (0, 1, 4), (24, 64)):
+        P = ct.pencil_for(g, ct.MaterialSpec.from_contrast(kappa), mode, elements, 2)
+        Lams, bands = _secular_roots_of(P)
+        real = Lams.imag == 0
+        r = np.count_nonzero(real)
+        assert real[:r].all()
+        upper, lower = Lams[r::2], Lams[r + 1::2]
+        assert np.all(upper.imag > 0) and np.array_equal(lower, np.conj(upper))
+        if len(bands):
+            folds.append((g, kappa, mode, elements))
+        else:
+            assert r == np.count_nonzero(qz_spectrum(P).Lambdas.imag == 0)
+        # the solved spectrum keeps each pair adjacent, bit-equal real parts
+        L = ct.solve_pencil(P).Lambdas
+        j = np.flatnonzero(L.imag < 0)
+        assert np.array_equal(L[j + 1], np.conj(L[j]))
+    assert folds == []
+    # a fold band: the contrast where the census sees one witness for two
+    # roots that meet within rounding; the solve makes them a conjugate pair
+    # there, and two real roots 3e-13 further from the fold
+    kappa0 = -0.7806797994809195
+    for kappa, n_bands in ((kappa0, 1), (kappa0 - 3e-13, 0)):
+        P = ct.pencil_for(ct.CapGeometry("internal", np.pi / 4),
+                          ct.MaterialSpec.from_contrast(kappa), 1, 96, 2)
+        Lams, bands = _secular_roots_of(P)
+        assert len(bands) == n_bands
+        near = Lams[np.abs(Lams + 5.8346) < 1e-3]
+        assert len(near) == 2 and (near.imag == 0).all() == (n_bands == 0)
+
+
+def test_no_pair_rejected_on_the_oracle_grid():
+    # the grid of test_weight_one_solve_matches_qz, without its QZ: every
+    # pair is kept, as with the dense eigenvalue solve it replaces
+    for g, kappa, mode, elements, delta in itertools.product(
+            _ORACLE_GEOMETRIES, (1.0, 0.5, -0.3, -0.5, -0.85, -0.97), (0, 1, 2, 4),
+            (24, 64), (0.0, 1e-3)):
+        cap = ct.build_cap(g, ct.MaterialSpec.from_contrast(kappa), mode, elements, 2)
+        P = ct.assemble_dissipative_pencil(cap, delta) if delta else ct.assemble_pencil(cap)
+        assert ct.solve_pencil(P).n_rejected == 0
+
+
+def test_lambdas_and_lambda_view_are_the_per_pair_values(critical_spectrum):
+    cap = ct.build_cap(ct.CapGeometry("internal", np.pi / 4),
+                       ct.MaterialSpec.from_contrast(-0.5), 1, 24, 2)
+    for spec in (critical_spectrum, ct.solve_pencil(ct.assemble_dissipative_pencil(cap, 1e-3)),
+                 _one_pair_spectrum(6.0)):
+        assert np.array_equal(spec.Lambdas, [p.Lambda for p in spec.pairs])
+        assert not spec.Lambdas.flags.writeable
+        view = spec.lambda_view
+        assert view.shape == (len(spec.pairs), 2)
+        assert np.array_equal(view, [ct.lambda_from_Lambda(p.Lambda) for p in spec.pairs])
