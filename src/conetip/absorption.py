@@ -126,7 +126,7 @@ def perturbation_slope(P0: PencilMatrices, P1_parts, le: LineEigenvalue):
     one-element list ``[(dLambda, dlambda_plus, dlambda_minus, phi)]``.
     """
     A1, B1 = P1_parts
-    if le.eta <= ETA_MIN:
+    if le.eta < ETA_MIN:
         raise PerturbationDegenerate("eta at the double-root guard")
     phi = np.asarray(le.vector, dtype=complex)
     m = complex(phi @ _times(A1 - le.Lambda * B1, phi))

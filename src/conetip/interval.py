@@ -87,8 +87,10 @@ def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
     certified roots of the weight-one secular function on the line
     (``spectrum._line_census``).  Two roots that meet at a fold within
     rounding are one witness.  A full spectrum shows the same band as a
-    conjugate pair just off the real axis, which ``line_eigenvalues`` keeps
-    as two line eigenvalues when it lies within ``LINE_TOL`` of the axis."""
+    conjugate pair just off the real axis; at the fold of mode 1 at
+    ``alpha = pi/4``, N = 96, it lies 1.07e-6 (relative) off it, beyond
+    ``LINE_TOL``, so ``line_eigenvalues`` drops the pair as complex while
+    the census counts one witness."""
     if kappa >= 0:
         raise CriticalContrastExcluded("contrast must be negative")
     material = MaterialSpec.from_contrast(kappa)
@@ -169,7 +171,8 @@ class CriticalInterval:
     the scan range), ``attaining_mode`` the mode reaching ``endpoint_outer``
     (the first given on ties), ``per_mode`` the :func:`has_blackhole`
     witnesses at ``endpoint_inner``, which bracket the folds the scan
-    refines, and ``flags`` the caveats of the comparison.
+    refines, and ``flags`` the caveats of the comparison and of the scan
+    (see :func:`scan_interval`).
     """
 
     alpha: float
@@ -203,6 +206,12 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
     avoid the 0.02 neighborhood of -1 and contain the far end (else
     ``no-transition-found``).  The modes are scanned one after another, in
     the order given.
+
+    ``flags`` names two limits of the scan: a curve value it evaluated lies
+    on the other side of -1 from the range (a rim's curves can cross -1, and
+    the critical contrasts beyond it are not reported), and the inner end is
+    a curve's value at ``eta_max``, not clamped by the range (the curve is
+    still moving there, so the end moves with the mesh).
     """
     lo, hi = sorted(kappa_range)
     if lo >= 0 or hi >= 0:
@@ -214,7 +223,15 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
     # curves are compared in the coordinate far * kappa, growing away from -1
     far = 1.0 if lo > -1.0 else -1.0
     eta_max = elements / np.pi
-    relations = [dispersion_relation(geometry, m, elements, order) for m in modes]
+    seen = []   # every (kappa, krein) the scan evaluates
+
+    def traced(relation):
+        def evaluate(eta):
+            seen.append(relation(eta))
+            return seen[-1]
+        return evaluate
+
+    relations = [traced(dispersion_relation(geometry, m, elements, order)) for m in modes]
     ends = [(relation(0.0), relation(eta_max)) for relation in relations]
     y_inner = min(far * kappa for end in ends for kappa, _ in end)
     endpoint_inner = float(np.clip(far * y_inner, lo, hi))
@@ -257,6 +274,10 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
     internal = geometry.kind == "internal"
     closed = -aleph(geometry.alpha) if internal else float("nan")
     flags = () if internal else ("closed form available for internal tips only",)
+    if any(far * (kappa + 1.0) < 0.0 for kappa, _ in seen):
+        flags += ("curves cross -1: the other side of -1 is not scanned",)
+    if any(endpoint_inner == stop[0] for _, stop in ends):
+        flags += ("inner end at the mesh cutoff eta_max: it moves with the mesh",)
     return CriticalInterval(alpha=geometry.alpha,
                             endpoint_inner=endpoint_inner,
                             endpoint_outer=float(endpoint_outer),

@@ -180,7 +180,7 @@ def solve_pencil(P: PencilMatrices) -> SpectrumResult:
 
     Each pair is certified in coefficient space (:func:`_certificates`): its
     ``residual`` is an upper bound on the backward error of its vector, and
-    the vector (``V y``, normalized by :func:`_normalize_one`) is formed only
+    the vector, ``V y`` from the eigenvalue alone (:func:`_formed`), is formed
     when it is read.  A pair whose bound misses ``RESIDUAL_TOL`` is formed at
     once and checked with :func:`_backward_error`; if that misses too, it gets
     one inverse-iteration step at its eigenvalue (:func:`_inverse_step`) and
@@ -192,11 +192,11 @@ def solve_pencil(P: PencilMatrices) -> SpectrumResult:
     if P.cap is None:
         raise DimensionMismatch("solve_pencil takes a pencil assembled from a cap")
     S = _secular_terms(P)
-    Lams, Y = _weight_one_solve(S)
-    res = _certificates(P, S, Lams, Y)
+    Lams = _weight_one_solve(S)
+    res = _certificates(P, S, Lams)
     vecs = [partial(_formed, S, P.mass_one, Lam) for Lam in Lams]
     for j in np.flatnonzero(~(res < RESIDUAL_TOL)):
-        v = _normalize_one(_times(S.V, np.ascontiguousarray(Y[:, j])), P.mass_one)
+        v = vecs[j]()
         res[j] = _backward_error(P.A, P.B, v[:, None], Lams[j])[0]
         if not res[j] < RESIDUAL_TOL:
             x = _inverse_step(P, Lams[j], v)
@@ -249,9 +249,8 @@ def _secular_terms(P: PencilMatrices, basis=None) -> _Secular:
                     undamped)
 
 
-def _weight_one_solve(S: _Secular):
-    """Eigenvalues of a cap's pencil and their coefficient vectors ``y`` in
-    the weight-one eigenbasis (the eigenvector is ``V y``).
+def _weight_one_solve(S: _Secular) -> np.ndarray:
+    """Eigenvalues of a cap's pencil, from its weight-one form ``S``.
 
     Rows of ``A - Lambda B`` below the interface dof ``p`` are ``s_minus``
     times those of ``K1 - Lambda M1`` (``stiffness_one``, ``mass_one``) and
@@ -266,8 +265,7 @@ def _weight_one_solve(S: _Secular):
     ``f(Lambda) = 1 + gamma sum_i c_i / (mu_i - Lambda)``, ``c = u w``
     (:func:`_secular_roots`), and a component with ``c_i = 0`` deflates to
     ``mu_i``.  At ``kappa = 1``, where ``w = 0``, every component deflates and
-    the eigenvalues are ``mu``.  The coefficient vectors come from
-    :func:`_cauchy`.
+    the eigenvalues are ``mu``, in order.  Vectors come from :func:`_formed`.
 
     Every dense step runs in numpy's BLAS: numpy and scipy ship one OpenBLAS
     each, with its own worker threads, and handing the CPU from one to the
@@ -275,14 +273,11 @@ def _weight_one_solve(S: _Secular):
     of the basis are scipy's LAPACK, but ``dpbtrf`` and ``dtbtrs`` are
     level-2 band routines that start no worker threads.
     """
-    if not S.w.any():
-        return S.mu.astype(complex), np.eye(len(S.mu), dtype=complex)
     start = None
     if S.undamped is not None:
         start = _secular_roots(S.undamped.mu, S.undamped.u * S.undamped.w,
                                -1.0 / S.undamped.gamma)
-    Lams = _secular_roots(S.mu, S.u * S.w, -1.0 / S.gamma, start)
-    return Lams, _cauchy(S, Lams)
+    return _secular_roots(S.mu, S.u * S.w, -1.0 / S.gamma, start)
 
 
 def _cauchy(S: _Secular, Lams: np.ndarray) -> np.ndarray:
@@ -320,9 +315,10 @@ def _cauchy(S: _Secular, Lams: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _certificates(P: PencilMatrices, S: _Secular, Lams, Y) -> np.ndarray:
-    """Upper bound on the backward error of each pair ``(Lams[j], V Y[:, j])``
-    after normalization, from coefficient space alone (no vector formed).
+def _certificates(P: PencilMatrices, S: _Secular, Lams) -> np.ndarray:
+    """Upper bound on the backward error of each pair ``(Lams[j], V y_j)``
+    after normalization, ``y_j`` the Cauchy vector of ``Lams[j]``
+    (:func:`_cauchy`), from coefficient space alone (no vector formed).
 
     With ``E = K1 V - M1 V diag(mu)`` (on the band, once per solve) and
     ``g = M1 V u - e_p``, and for each ``y`` the split
@@ -344,8 +340,8 @@ def _certificates(P: PencilMatrices, S: _Secular, Lams, Y) -> np.ndarray:
     ``tests/test_spectrum.py``).  It is divided by
     ``(||A|| + |Lambda| ||B||) ||y||`` (``||y||`` is ``||V y||`` in the
     weight-one norm; norms of A and B as in :func:`_backward_error`).  At
-    ``kappa = 1`` (``y = e_j``) the bound is ``|s| ||E e_j||`` plus that
-    rounding.
+    ``kappa = 1`` (``y = e_j``, no Cauchy block) the bound is ``|s| ||E e_j||``
+    plus that rounding.
     """
     M1, V, mu, u = P.mass_one, S.V, S.mu, S.u
     n, p = len(mu), P.cap.interface_dof
@@ -356,9 +352,10 @@ def _certificates(P: PencilMatrices, S: _Secular, Lams, Y) -> np.ndarray:
     s_max = max(s_minus, s_plus)
     one_norm = lambda M: np.abs(M).sum(axis=0).max()
     A1, B1, A_c, B_c = one_norm(P.A), one_norm(P.B), _norm(P.A), _norm(P.B)
-    if not S.w.any():               # kappa = 1: Y is the identity
+    if not S.w.any():               # kappa = 1: every y is e_j
         L = np.abs(Lams)
         return (s_max * e_norm + 2.0 * _EPS * (A1 + L * B1) * v_norm) / (A_c + L * B_c)
+    Y = _cauchy(S, Lams)
     g = _band_times(M1, V @ u)
     g[p] -= 1.0
     g_norm, m1_half, uu = np.linalg.norm(g), np.sqrt(one_norm(M1)), u @ u

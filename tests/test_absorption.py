@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,7 @@ from numpy.testing import assert_allclose
 import conetip as ct
 from conetip.absorption import AMBIGUOUS, MINUS_BRANCH, OVERLAP_MIN, PLUS_BRANCH
 from conetip.errors import DimensionMismatch, PerturbationDegenerate, TrajectoryLost
-from conetip.spectrum import RESIDUAL_TOL
+from conetip.spectrum import ETA_MIN, RESIDUAL_TOL
 
 DELTAS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 
@@ -198,6 +200,28 @@ def test_trajectory_guards(tracked):
                   ct.build_cap(cap.geometry, cap.material, 0, 48, 2)):
         with pytest.raises(DimensionMismatch):
             ct.trajectory(other, le, DELTAS)
+
+
+def test_slope_at_the_near_quarter_guard():
+    # one near-quarter rule: a line eigenvalue at eta = ETA_MIN exactly is not
+    # near_quarter (that is eta < ETA_MIN), so its slope is taken and its
+    # branch selected, as for any line eigenvalue the CLI treats as usable
+    eta = ETA_MIN
+    Lam = -0.25 - eta * eta
+    B = np.diag([1.0, -1.0])
+    P = ct.PencilMatrices(A=np.diag([Lam, 2.0]), B=B, stiffness_one=np.zeros((2, 2)),
+                          mass_one=np.eye(2), cap=None, delta=0.0)
+    phi = np.array([1.0 + 0j, 0.0])
+    le = ct.LineEigenvalue(eta=eta, Lambda=Lam, mode=0, vector=phi,
+                           gram=complex(phi @ (B @ phi)), pencil=P)
+    assert not le.near_quarter
+    sel = ct.select_outgoing_by_absorption([le])
+    # dLambda = -i Lambda, so dlambda_plus = -Lambda / (2 eta) > 0
+    assert sel.choices == {(0, eta): PLUS_BRANCH}
+    assert_allclose(sel.slopes[(0, eta)], -Lam / (2.0 * eta), rtol=1e-12)
+    with pytest.raises(PerturbationDegenerate):
+        ct.perturbation_slope(P, (P.stiffness_one, P.mass_one),
+                              dataclasses.replace(le, eta=0.5 * ETA_MIN, near_quarter=True))
 
 
 def test_perturbation_degenerate_guard():

@@ -328,31 +328,50 @@ _RUN_DECISION_COMMANDS = """
 import sys
 from conetip.cli import main
 cfg_dir, out = sys.argv[1:]
-for sub in ("spectrum", "weights", "basis"):
+for sub in ("spectrum", "weights", "basis", "interval", "trajectory"):
     assert main([sub, "--config", f"{cfg_dir}/{sub}.json", "--out", f"{out}/{sub}"]) == 0
 """
 
 
 def _read_decision_outputs(out):
-    rows = [line.split(",") for line in
-            (out / "spectrum" / "spectrum.csv").read_text().splitlines()[1:]]
+    def table(sub):
+        return [line.split(",") for line in
+                (out / sub / f"{sub}.csv").read_text().splitlines()[1:]]
+
+    def document(sub, name=None):
+        return json.loads((out / sub / f"{name or sub}.json").read_text())
+
+    rows = table("spectrum")
     Lams = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-    basis = json.loads((out / "basis" / "basis.json").read_text())
+    basis, ci, sel = document("basis"), document("interval"), document("trajectory", "selection")
+    # a choice's key holds eta to 12 digits: the decision is its mode and value
+    choices = [(key.split(",")[0], value) for key, value in sel["choices"].items()]
     return {
         "rows": [(int(r[0]), r[5]) for r in rows],
         "im_sign": np.sign(Lams.imag).tolist(),
-        "beta_star": json.loads((out / "weights" / "weights.json").read_text())["beta_star"],
+        "beta_star": document("weights")["beta_star"],
         "basis": (basis["n_outgoing"], basis["dim"],
                   [(m["mode"], m["chain_level"], m["conjugated"]) for m in basis["members"]]),
-    }, Lams, np.array([m["eta"] for m in basis["members"]])
+        "witness_counts": {m: len(etas) for m, etas in ci["per_mode"].items()},
+        "interval": (ci["attaining_mode"], ci["flags"]),
+        "selection": (choices, sel["mode"]),
+    }, Lams, {
+        "basis_eta": [m["eta"] for m in basis["members"]],
+        "endpoints": [ci["endpoint_detected"], ci["endpoint_inner"]],
+        "witness_eta": [eta for m in sorted(ci["per_mode"]) for eta in ci["per_mode"][m]],
+        "choice_eta": [float(key.split("eta=")[1]) for key in sel["choices"]] + [sel["eta"]],
+        "lambda": [complex(float(r[1]), float(r[2])) for r in table("trajectory")],
+    }
 
 
 def test_decisions_do_not_depend_on_blas_threads(tmp_path):
-    # every decision of spectrum, weights and basis is the same with one and
-    # two OpenBLAS threads (set in the child's environment only): row modes,
-    # order and classes, the sign of Im Lambda, beta_star, the outgoing count
-    # and the members; the values agree to rounding level
-    for sub in ("spectrum", "weights", "basis"):
+    # every decision of spectrum, weights, basis, interval and trajectory is
+    # the same with one and two OpenBLAS threads (set in the child's
+    # environment only): row modes, order and classes, the sign of Im Lambda,
+    # beta_star, the outgoing count and the members, the witness count per
+    # mode, the attaining mode and flags, and the selected branches and mode;
+    # the values agree to rounding level
+    for sub in ("spectrum", "weights", "basis", "interval", "trajectory"):
         (tmp_path / f"{sub}.json").write_text(json.dumps({
             "subcommand": sub,
             "geometry": {"kind": "internal", "alpha": np.pi / 4},
@@ -367,7 +386,8 @@ def test_decisions_do_not_depend_on_blas_threads(tmp_path):
         subprocess.run([sys.executable, "-c", _RUN_DECISION_COMMANDS, str(tmp_path), str(out)],
                        check=True, capture_output=True, env=env, timeout=300)
         runs.append(_read_decision_outputs(out))
-    (one, Lams_1, eta_1), (two, Lams_2, eta_2) = runs
+    (one, Lams_1, values_1), (two, Lams_2, values_2) = runs
     assert one == two
     assert np.all(np.abs(Lams_1 - Lams_2) <= 1e-9 * np.maximum(1.0, np.abs(Lams_1)))
-    assert_allclose(eta_2, eta_1, rtol=1e-9)
+    for name, value in values_1.items():
+        assert_allclose(values_2[name], value, rtol=1e-9, err_msg=name)

@@ -281,6 +281,41 @@ def test_scan_interval_witnesses_bracket_an_inner_fold(quarter_tip, monkeypatch)
     assert abs(ci.endpoint_outer + 0.4) < 1e-12
 
 
+RIM_ONLY = "closed form available for internal tips only"
+CROSSES = "curves cross -1: the other side of -1 is not scanned"
+AT_CUTOFF = "inner end at the mesh cutoff eta_max: it moves with the mesh"
+
+
+@pytest.mark.parametrize("kappa_range, inner, outer", [
+    ((-0.97, -0.05), -0.97, -0.8591),
+    ((-5.0, -1.03), -1.03, -2.7535),
+])
+def test_scan_interval_flags_curves_across_minus_one(kappa_range, inner, outer):
+    # on this Neumann rim modes 0-2 start below -1 (-1.081, -2.754, -1.611
+    # at eta = 0) and mode 0 folds above it (-0.859): a range on either side
+    # of -1 reports its own side and says that the curves cross -1
+    g = ct.CapGeometry("boundary", 0.5, 0.7, "neumann")
+    ci = ct.scan_interval(g, kappa_range=kappa_range, modes=(0, 1, 2), elements=64)
+    assert ci.endpoint_inner == inner
+    assert abs(ci.endpoint_outer - outer) < 1e-4
+    assert ci.flags == (RIM_ONLY, CROSSES)
+
+
+@pytest.mark.parametrize("elements, inner", [(32, -1.8329), (64, -1.1966), (128, None)])
+def test_scan_interval_flags_an_inner_end_at_the_cutoff(elements, inner):
+    # on a Neumann rim with a 0.05 gap every curve still rises toward -1 at
+    # eta_max = N/pi, so an unclamped inner end moves with the mesh; at
+    # N = 128 the range clamps it
+    g = ct.CapGeometry("boundary", 0.5, 0.55, "neumann")
+    ci = ct.scan_interval(g, kappa_range=(-20.0, -1.05), modes=(0, 1), elements=elements)
+    if inner is None:
+        assert ci.endpoint_inner == -1.05 and AT_CUTOFF not in ci.flags
+    else:
+        assert abs(ci.endpoint_inner - inner) < 1e-4 and AT_CUTOFF in ci.flags
+        relation = ct.dispersion_relation(g, 1, elements)
+        assert ci.endpoint_inner == relation(elements / np.pi)[0]
+
+
 @pytest.mark.parametrize("order, expected", [(1, 2.0), (2, 4.0)])
 def test_endpoint_observed_order(quarter_tip, order, expected):
     # kappa_0(0) is the discrete endpoint; its error against aleph converges

@@ -178,18 +178,56 @@ def test_failed_pair_is_repaired(monkeypatch, quarter_tip, critical_material):
     # step at its eigenvalue and is kept, not rejected
     P = ct.pencil_for(quarter_tip, critical_material, 1, 32, 2)
     good = ct.solve_pencil(P)
-    solve = spectrum._weight_one_solve
+    Lam = spectrum._weight_one_solve(spectrum._secular_terms(P))[3]
+    cauchy, inverse_step, steps = spectrum._cauchy, spectrum._inverse_step, []
 
-    def damaged(P):
-        Lams, V = solve(P)
-        V[:, 3] += 1e-4 * np.linalg.norm(V[:, 3])
-        return Lams, V
+    def damaged(S, Lams):
+        # the fourth eigenvalue's Cauchy vector, in the certificates' block
+        # and in the one column that forms its vector
+        Y = cauchy(S, Lams)
+        j = Lams == Lam
+        Y[:, j] += 1e-4 * np.linalg.norm(Y[:, j], axis=0)
+        return Y
 
-    monkeypatch.setattr(spectrum, "_weight_one_solve", damaged)
+    def counted(P, Lam, v):
+        steps.append(Lam)
+        return inverse_step(P, Lam, v)
+
+    monkeypatch.setattr(spectrum, "_cauchy", damaged)
+    monkeypatch.setattr(spectrum, "_inverse_step", counted)
     spec = ct.solve_pencil(P)
     assert spec.n_rejected == 0
     assert np.array_equal(spec.Lambdas, good.Lambdas)
     assert max(p.residual for p in spec.pairs) < 1e-12
+    assert steps == [Lam]
+
+
+def test_vector_does_not_depend_on_the_check(monkeypatch, quarter_tip, critical_material):
+    # a pair whose certificate misses the cut is formed by the same rule as
+    # every vector read later, so its vector does not depend on which check
+    # certified it: with the certificates' block damaged for one eigenvalue,
+    # that pair passes the check of its formed vector, and every vector
+    # keeps the bits of the undamaged solve
+    P = ct.pencil_for(quarter_tip, critical_material, 1, 32, 2)
+    good = ct.solve_pencil(P)
+    Lam = spectrum._weight_one_solve(spectrum._secular_terms(P))[3]
+    cauchy = spectrum._cauchy
+
+    def damaged(S, Lams):
+        Y = cauchy(S, Lams)
+        if len(Lams) > 1:      # the block, not the one column of a formed vector
+            j = Lams == Lam
+            Y[:, j] += 1e-4 * np.linalg.norm(Y[:, j], axis=0)
+        return Y
+
+    monkeypatch.setattr(spectrum, "_cauchy", damaged)
+    spec = ct.solve_pencil(P)
+    assert spec.n_rejected == 0
+    assert np.array_equal(spec.Lambdas, good.Lambdas)
+    pair = spec.pairs[int(np.flatnonzero(spec.Lambdas == Lam)[0])]
+    formed = spectrum._backward_error(P.A, P.B, pair.vector[:, None], pair.Lambda)[0]
+    assert pair.residual == formed < 1e-12
+    assert all(np.array_equal(p.vector, q.vector) for p, q in zip(spec.pairs, good.pairs))
 
 
 def _ulp_perturbed(P, rng):
@@ -574,7 +612,7 @@ def test_certificate_bounds_the_formed_backward_error():
 
 def _secular_roots_of(P):
     S = spectrum._secular_terms(P)
-    Lams, _ = spectrum._weight_one_solve(S)
+    Lams = spectrum._weight_one_solve(S)
     c = S.u * S.w
     live = c != 0
     _, bands = spectrum._real_roots(S.mu[live], c[live], -1.0 / S.gamma)
