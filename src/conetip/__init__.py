@@ -10,9 +10,9 @@ from .cap import (CapGeometry, DiscreteCap, MaterialSpec, Mesh1D,
                   PencilMatrices, angular_gram, assemble_dissipative_pencil,
                   assemble_pencil, build_cap, pencil_for, sigma_at)
 from .spectrum import (EigenPair, LineEigenvalue, SpectralWeights,
-                       SpectrumResult, conjugate_pairing_check, jordan_chains,
-                       jordan_indicator, lambda_from_Lambda, line_eigenvalues,
-                       solve_pencil, spectral_weights, weight_star)
+                       SpectrumResult, jordan_chains, jordan_indicator,
+                       lambda_from_Lambda, line_eigenvalues, solve_pencil,
+                       spectral_weights, weight_star)
 from .flux import (FluxMatrix, Hypersingularity, LogPolynomial,
                    MandelstamBasis, SingularSpace, WaveClass, blowup_rate,
                    build_singularity, classify_wave, flux_matrix, flux_pairing,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cap import DiscreteCap, PencilMatrices, _dissipated
 from .errors import DimensionMismatch, PerturbationDegenerate, TrajectoryLost
@@ -208,6 +207,7 @@ def consistency_report(basis: MandelstamBasis, selection: AbsorptionSelection,
                        line_evs) -> ConsistencyVerdict:
     """Principal angles between span(outgoing) and the absorption-selected
     span in each (mode, eta) block; they agree when none exceeds ``ANGLE_TOL``."""
+    import scipy.linalg
     space = basis.flux.basis_ref
     details = {}
     agree = True

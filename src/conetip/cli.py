@@ -15,14 +15,14 @@ from . import absorption, flux, interval
 from .cap import assemble_pencil, build_cap
 from .errors import ConfigError, ConetipError
 from .io import ResultBundle, RunConfig, SUBCOMMANDS, parse_config, write_results
-from .spectrum import (classify_eigenvalue, line_eigenvalues, solve_pencil,
-                       spectral_weights, weight_star)
+from .spectrum import (_weight_spectrum, classify_eigenvalue, line_eigenvalues,
+                       solve_pencil, spectral_weights, weight_star)
 
 
-def _mode_spectra(config: RunConfig, geometry=None):
+def _mode_spectra(config: RunConfig, geometry=None, solve=solve_pencil):
     geometry = geometry or config.geometry
     elements, order = config.mesh["elements"], config.mesh["order"]
-    return [solve_pencil(assemble_pencil(build_cap(
+    return [solve(assemble_pencil(build_cap(
         geometry, config.material, m, elements, order))) for m in config.modes]
 
 
@@ -83,14 +83,15 @@ def _run_aleph(config: RunConfig) -> ResultBundle:
 
 
 def _run_weights(config: RunConfig) -> ResultBundle:
+    # a definite pencil's weight reads its lowest pair alone (_weight_spectrum)
     geometry = config.geometry
     if geometry.kind == "boundary":
         # the rim condition is part of the geometry: solve both variants
         wd, wn = (spectral_weights(_mode_spectra(
-            config, replace(geometry, outer_bc=bc)), bc)
+            config, replace(geometry, outer_bc=bc), _weight_spectrum), bc)
             for bc in ("dirichlet", "neumann"))
     else:
-        specs = _mode_spectra(config)
+        specs = _mode_spectra(config, solve=_weight_spectrum)
         wd = spectral_weights(specs, "dirichlet")
         wn = spectral_weights(specs, "neumann")
     star, record = weight_star(wd, wn)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cap import (CapGeometry, MaterialSpec, _band, _region_blocks,
                   assemble_pencil, build_cap)
@@ -116,6 +115,7 @@ def _interface_schur(A, B, face, u):
     a, b = A[inner, face].copy(), B[inner, face].copy()
     A_ff, B_ff = A[face, face], B[face, face]
     A_low, B_low = (_band(M[inner, inner], u)[u:] for M in (A, B))
+    import scipy.linalg
     pbsv, = scipy.linalg.get_lapack_funcs(("pbsv",), (A_low,))
     # x^T B x over the lower band's entries B[i + k, i], off the diagonal twice
     k, i = np.nonzero(B_low)

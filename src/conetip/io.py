@@ -91,7 +91,9 @@ def parse_config(text: str) -> RunConfig:
     Geometry and material are validated by the guards of
     :class:`~conetip.cap.CapGeometry` / :class:`~conetip.cap.MaterialSpec`
     (contrast -1 excluded, proper apertures), so a bad run fails before any
-    work; exactly one of ``sigma_minus`` / ``kappa`` may be given.
+    work; exactly one of ``sigma_minus`` / ``kappa`` may be given.  The
+    ``aleph`` and ``interval`` subcommands need no material block; one that is
+    given is validated and hashed all the same.
     """
     try:
         raw = json.loads(text)
@@ -128,7 +130,8 @@ def parse_config(text: str) -> RunConfig:
         material = (_build(MaterialSpec.from_contrast, num["kappa"], sigma_plus, delta)
                     if "kappa" in num else
                     _build(MaterialSpec, sigma_plus, num["sigma_minus"], delta))
-    elif sub != "aleph":
+    elif sub not in ("aleph", "interval"):
+        # the critical interval is a range of contrasts, so it takes none
         raise ConfigError(f"subcommand {sub!r} requires a material block")
 
     modes = _number(raw.get("modes", [0, 1, 2, 3, 4]), [0], "modes")

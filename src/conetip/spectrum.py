@@ -23,7 +23,9 @@ solved spectrum, or counted from the secular function alone by
 :func:`_line_census`), grows a Jordan chain above the eigenvector when its
 sigma-weighted self-product ``phi^T B phi`` vanishes (a fold of the
 dispersion relation, where the Krein sign changes), and derives radial
-weight exponents from the spectrum right of the line.
+weight exponents from the spectrum right of the line; for a definite
+pencil (both coefficients positive, no dissipation) that is its lowest
+eigenpair alone, found and certified on the band (:func:`_lowest_pair`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .cap import PencilMatrices, _band
 from .errors import DimensionMismatch, NotApplicableDissipative
@@ -124,15 +125,23 @@ def _times(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def _band_times(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``M @ X`` for a symmetric banded ``M``, summed diagonal by diagonal:
-    O(n u) per column, and each column of the product has the same bits
-    whatever the other columns of ``X`` (a dense product blocks its sums by
-    the width of ``X``)."""
+    """``M @ X`` for a symmetric banded ``M`` (:func:`_lower_times` on its
+    band)."""
     i, j = np.nonzero(M)
+    u = int(np.max(j - i, initial=0))
+    return _lower_times(_band(M, u)[u:], X)
+
+
+def _lower_times(Mb: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``M @ X`` for a symmetric ``M`` in lower band storage ``Mb`` (row
+    ``k`` the ``k``-th subdiagonal), summed diagonal by diagonal: O(n u) per
+    column, and each column of the product has the same bits whatever the
+    other columns of ``X`` (a dense product blocks its sums by the width of
+    ``X``)."""
     X2 = X.reshape(len(X), -1)
-    out = M.diagonal()[:, None] * X2
-    for k in range(1, int(np.max(j - i, initial=0)) + 1):
-        d = M.diagonal(k)[:, None]
+    out = Mb[0][:, None] * X2
+    for k in range(1, len(Mb)):
+        d = Mb[k, :-k][:, None]
         out[:-k] += d * X2[k:]
         out[k:] += d * X2[:-k]
     return out.reshape(X.shape)
@@ -232,14 +241,16 @@ class _Secular(NamedTuple):
 
 def _secular_terms(P: PencilMatrices, basis=None) -> _Secular:
     """The weight-one form of a cap's pencil: the basis ``(mu, V)``
-    (:func:`_weight_one_basis`, or ``basis`` when given), ``u = V[p]`` and the
-    rank-one row ``(a, b)`` in that basis, read from row ``p`` of the pencil;
-    its eigenvalues are those of ``diag(mu) + gamma u w^T``."""
+    (:func:`_weight_one_basis` with its close poles deflated,
+    :func:`_deflate_close_poles`, or ``basis`` when given), ``u = V[p]`` and
+    the rank-one row ``(a, b)`` in that basis, read from row ``p`` of the
+    pencil; its eigenvalues are those of ``diag(mu) + gamma u w^T``."""
     cap, K1, M1 = P.cap, P.stiffness_one, P.mass_one
-    p = cap.interface_dof
+    p, order = cap.interface_dof, cap.mesh.element_order
     s_plus = cap.material.sigma_plus + (1j * P.delta if P.delta else 0.0)
     ab = np.stack([P.A[p], P.B[p]]) / s_plus - np.stack([K1[p], M1[p]])
-    mu, V = basis or _weight_one_basis(K1, M1, cap.mesh.element_order)
+    mu, V = basis or _deflate_close_poles(K1, M1, order, p,
+                                          *_weight_one_basis(K1, M1, order))
     alpha, beta = ab.real @ V + 1j * (ab.imag @ V) if np.iscomplexobj(ab) else ab @ V
     u = V[p]
     undamped = None
@@ -291,13 +302,21 @@ def _cauchy(S: _Secular, Lams: np.ndarray) -> np.ndarray:
     its sum against ``|Lambda_j| / |mu_i - Lambda_j|``).  So a component with
     ``u_i`` near 0 deflates to ``v_i`` plus the coupling to the other
     components, and an exactly vanishing ``mu_i - Lambda_j`` with ``w_i = 0``
-    gives ``v_i``.
+    gives ``v_i``.  An entry with ``u_i = 0`` (a deflated pole,
+    :func:`_deflate_close_poles`) is exactly 0 off its pole, so the nearest
+    pole is sought among the others unless ``Lambda_j`` sits on it.
     """
     mu, u, w, gamma = S.mu, S.u, S.w, S.gamma
     cols = np.arange(len(Lams))
-    # the pole nearest to each Lambda_j (mu is real and ascending)
-    i = np.clip(np.searchsorted(mu, Lams.real), 1, len(mu) - 1)
-    i -= np.abs(mu[i - 1] - Lams) < np.abs(mu[i] - Lams)
+    # the pole nearest to each Lambda_j (mu is real and ascending) among
+    # those with u_i != 0, or the deflated pole that Lambda_j sits on
+    k = np.flatnonzero(u != 0)
+    t = np.clip(np.searchsorted(mu[k], Lams.real), 1, len(k) - 1)
+    t -= np.abs(mu[k[t - 1]] - Lams) < np.abs(mu[k[t]] - Lams)
+    i = k[t]
+    on = np.minimum(np.searchsorted(mu, Lams.real), len(mu) - 1)
+    on_deflated = (mu[on] == Lams) & (u[on] == 0)
+    i[on_deflated] = on[on_deflated]
     gap = mu[i] - Lams
     with np.errstate(divide="ignore", invalid="ignore"):
         Y = np.subtract(mu[:, None], Lams)
@@ -698,17 +717,64 @@ def _weight_one_basis(K1: np.ndarray, M1: np.ndarray, u: int):
     ``V = L^-T Q`` come from banded triangular substitutions ``dtbtrs``, so
     each solve costs O(n^2 u), not a dense O(n^3) LU.  A mass matrix that is
     not positive definite raises :class:`numpy.linalg.LinAlgError`."""
-    L, info = scipy.linalg.lapack.dpbtrf(_band(M1, u)[u:], lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"mass matrix not positive definite (info {info})")
+    L = _band_cholesky(_band(M1, u)[u:])
+    if L is None:
+        raise np.linalg.LinAlgError("mass matrix not positive definite")
     mu, Q = np.linalg.eigh(_lower_solve(L, _lower_solve(L, K1).T))
     return mu, _lower_solve(L, Q, trans="T")
+
+
+def _deflate_close_poles(K1, M1, u, p, mu, V):
+    """The basis ``(mu, V)`` with every two adjacent columns whose ``mu``
+    differ by less than their residuals resolve rotated in their plane, so
+    that the smaller of their interface entries ``V[p]`` vanishes: that
+    component of the secular function then deflates exactly to its ``mu``
+    (Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978).
+
+    A rotation by the angle ``theta`` adds at most
+    ``|sin theta| (mu_{i+1} - mu_i) ||M1 v||`` to each of the two columns of
+    ``E = K1 V - M1 V diag(mu)``, which the certificates read; two columns
+    are rotated when that is at most their larger column norm of ``E``
+    (:func:`_basis_residual_norms`), as Dongarra and Sorensen (SIAM J. Sci.
+    Stat. Comput. 8, 1987) deflate.  A backward-stable eigensolve leaves
+    ``E`` at rounding level, so only gaps below ``sqrt(eps) |mu|`` are
+    examined.  Without the rotation, two poles a rounding error apart keep a
+    coupling ``u_i w_i`` of rounding size and are both taken for roots."""
+    close = np.flatnonzero(np.diff(mu) <= np.sqrt(_EPS) * np.abs(mu[1:]))
+    if not len(close):
+        return mu, V
+    V = V.copy()
+    for i in close:
+        pair = [i, i + 1]
+        zero, keep = pair if abs(V[p, i]) <= abs(V[p, i + 1]) else pair[::-1]
+        x, y = V[p, zero], V[p, keep]
+        if x == 0.0:
+            continue
+        # rows (y, -x) / r and (x, y) / r take (x, y) to (0, r); each new
+        # column gains at most |x| / r (mu_{i+1} - mu_i) ||M1 v|| in E
+        r = np.hypot(x, y)
+        e, _ = _basis_residual_norms(K1, M1, V[:, pair], mu[pair], u)
+        gain = abs(x) / r * (mu[i + 1] - mu[i]) * np.linalg.norm(M1 @ V[:, pair], axis=0).max()
+        if gain <= e.max():
+            V[:, zero], V[:, keep] = (y * V[:, zero] - x * V[:, keep]) / r, \
+                (x * V[:, zero] + y * V[:, keep]) / r
+    return mu, V
+
+
+def _band_cholesky(Hb: np.ndarray):
+    """Lower factor of LAPACK's banded Cholesky ``dpbtrf`` of the symmetric
+    matrix in lower band storage ``Hb``, or None when the factorization
+    breaks down (the matrix is not numerically positive definite)."""
+    from scipy.linalg import lapack
+    L, info = lapack.dpbtrf(Hb, lower=1)
+    return L if info == 0 else None
 
 
 def _lower_solve(L: np.ndarray, X: np.ndarray, trans: str = "N") -> np.ndarray:
     """``L^-1 X`` (``trans="T"``: ``L^-T X``) for the lower band factor ``L``
     of :func:`_weight_one_basis`."""
-    Y, info = scipy.linalg.lapack.dtbtrs(L, X, uplo="L", trans=trans)
+    from scipy.linalg import lapack
+    Y, info = lapack.dtbtrs(L, X, uplo="L", trans=trans)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular band factor (info {info})")
     return Y
@@ -718,6 +784,7 @@ def _inverse_step(P: PencilMatrices, Lam: complex, v: np.ndarray):
     """One inverse-iteration step ``(A - Lam B) x = B v`` at the fixed shift
     ``Lam``, by a banded LU (half-bandwidth = element order); None when the
     shifted matrix is exactly singular."""
+    import scipy.linalg
     u = P.cap.mesh.element_order
     try:
         return scipy.linalg.solve_banded(
@@ -876,6 +943,120 @@ class SpectralWeights:
 
 NEUMANN_CAP = 2.5
 WEIGHT_CAP = 0.5
+_BLOCK = 4
+_MAX_STEPS = 100
+
+
+def _weight_spectrum(P: PencilMatrices) -> SpectrumResult:
+    """What :func:`spectral_weights` reads of one mode's pencil: the one-pair
+    spectrum of its certified lowest pair (:func:`_lowest_pair`) when the
+    pencil is definite and the pair passes, else its full spectrum."""
+    pair = _lowest_pair(P)
+    if pair is None:
+        return solve_pencil(P)
+    return SpectrumResult(pairs=(pair,), mode=P.cap.mode, pencil=P, n_rejected=0)
+
+
+def _lowest_pair(P: PencilMatrices):
+    """The lowest eigenpair of a definite cap pencil, certified twice; None
+    for any other pencil, or when a certificate fails.
+
+    With both coefficients positive and no dissipation, ``A`` is positive
+    semidefinite and ``B`` positive definite, so the spectrum is real and
+    ``>= 0``.  The pair comes from block inverse iteration on the band
+    (:func:`_lowest_ritz_pair`) and is normalized as :func:`solve_pencil`
+    normalizes.  Its ``residual`` is its :func:`_backward_error`, which must
+    be below ``RESIDUAL_TOL``, and :func:`_is_lowest` must find no
+    eigenvalue below it.  The rule needs a definite pencil, so it is chosen
+    from the material, not by an option.
+    """
+    cap = P.cap
+    if cap is None or P.delta != 0 or not cap.material.sigma_minus > 0:
+        return None
+    u = cap.mesh.element_order
+    Ab, Bb = _band(P.A, u)[u:], _band(P.B, u)[u:]
+    Lam, x = _lowest_ritz_pair(Ab, Bb)
+    if x is None:
+        return None
+    v = _normalize_one(x, P.mass_one)
+    residual = _backward_error(P.A, P.B, v[:, None], Lam)[0]
+    if not (residual < RESIDUAL_TOL and _is_lowest(Ab, Bb, Lam, x)):
+        return None
+    return EigenPair(complex(Lam), v, float(residual))
+
+
+def _lowest_ritz_pair(Ab, Bb):
+    """Lowest Ritz pair ``(Lambda, x)`` of block inverse iteration on the
+    definite pencil ``(A, B)`` in lower band storage: ``_BLOCK`` columns
+    from a fixed start of cosines, a banded Cholesky factor of ``A - s B``,
+    and a Rayleigh-Ritz step on each new block.  The shift ``s`` starts at
+    ``-1/4``, below the spectrum, and moves up to
+    ``theta_0 - (theta_1 - theta_0) / 8`` whenever the pencil still factors
+    there (so ``s`` stays below every eigenvalue).  It stops when the
+    residual of the lowest Ritz pair stops falling, and returns the pair
+    with the smallest residual (``(None, None)`` when ``A + B / 4`` does not
+    factor)."""
+    import scipy.linalg
+    from scipy.linalg import lapack
+    n = Ab.shape[1]
+    X = np.cos(np.pi * np.outer(np.linspace(0.0, 1.0, n), np.arange(_BLOCK)))
+    shift, L = -0.25, _band_cholesky(Ab + 0.25 * Bb)
+    if L is None:
+        return None, None
+    best = (np.inf, None, None)
+    for _ in range(_MAX_STEPS):
+        Y, _info = lapack.dpbtrs(L, _lower_times(Bb, X), lower=1)
+        Q = np.linalg.qr(Y)[0]
+        AQ, BQ = _lower_times(Ab, Q), _lower_times(Bb, Q)
+        theta, Z = scipy.linalg.eigh(Q.T @ AQ, Q.T @ BQ)
+        X = Q @ Z
+        r = AQ @ Z[:, 0] - theta[0] * (BQ @ Z[:, 0])
+        res = np.linalg.norm(r) / np.linalg.norm(X[:, 0])
+        if not res < best[0]:
+            break
+        best = (res, theta[0], X[:, 0])
+        s = theta[0] - (theta[1] - theta[0]) / 8.0
+        L_s = _band_cholesky(Ab - s * Bb) if s > shift else None
+        if L_s is not None:
+            shift, L = s, L_s
+    return best[1], best[2]
+
+
+def _is_lowest(Ab, Bb, Lam, x) -> bool:
+    """Whether the definite pencil ``(A, B)`` (lower band storage) has no
+    eigenvalue below ``sigma = Lam - rho - delta``, by one banded Cholesky.
+
+    ``rho = ||r||_{B^-1} / ||x||_B``, ``r = A x - Lam B x``, is the inclusion
+    radius of the pair: an eigenvalue lies within ``rho`` of ``Lam``
+    (Parlett, The Symmetric Eigenvalue Problem).  A Cholesky factorization
+    that runs to completion on ``A - sigma B - c D``,
+    ``D = diag(A) + |sigma| diag(B)``, is exact for a matrix within
+    ``(2u + 1) (u + 5) eps D`` of it in the Loewner order: the backward error
+    of the band factorization, ``gamma_{u+2} |L||L^T|`` (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 10), and of
+    forming the shifted matrix, are below ``(u + 5) eps sqrt(D_i D_j)``
+    entrywise, because ``A`` and ``B`` are semidefinite, and a band of
+    ``2u + 1`` such entries is below that times ``D``.  With ``c`` twice
+    that bound, ``A - sigma B`` is then positive definite, and by
+    Sylvester's law of inertia no eigenvalue is ``<= sigma``.  ``delta``,
+    ``4 c x^T D x / x^T B x``, is the room the test needs for ``c D`` when
+    ``x`` is the lowest eigenvector.  The lowest eigenvalue does not exceed
+    the Rayleigh quotient ``Lam``, so a pass puts it in ``(sigma, Lam]``."""
+    from scipy.linalg import lapack
+    u = len(Ab) - 1
+    Ax, Bx = _lower_times(Ab, x), _lower_times(Bb, x)
+    xBx = x @ Bx
+    r = Ax - Lam * Bx
+    LB = _band_cholesky(Bb)
+    if LB is None:
+        return False
+    rho = np.sqrt(abs(r @ lapack.dpbtrs(LB, r, lower=1)[0]) / xBx)
+    c = 2.0 * (2 * u + 1) * (u + 5) * _EPS
+    delta = 4.0 * c * ((x * x) @ (Ab[0] + abs(Lam) * Bb[0])) / xBx
+    sigma = Lam - rho - delta
+    H = Ab - sigma * Bb
+    H[0] -= c * (Ab[0] + abs(sigma) * Bb[0])
+    return _band_cholesky(H) is not None
 
 
 def _beta_error(pencil: PencilMatrices, pair: EigenPair) -> float:
@@ -901,6 +1082,12 @@ def spectral_weights(specs, bc_kind: str) -> SpectralWeights:
     5/2 (keeping its eigenvalue and bound), and one certifiably above 5/2 as
     the bare cap, so the cap decision does not rest on the sign of rounding
     noise.
+
+    A spectrum may be a mode's full spectrum or the one-pair spectrum of its
+    certified lowest pair (:func:`_weight_spectrum`, the CLI ``weights``
+    path): a definite pencil has a real spectrum ``>= 0``, whose nearest
+    root right of the line is ``sqrt(Lambda_min + 1/4)`` of its lowest
+    eigenvalue, so both give the same ``beta`` and the same cap decision.
     """
     if bc_kind not in ("dirichlet", "neumann"):
         raise DimensionMismatch(f"unknown bc kind {bc_kind!r}")
@@ -952,15 +1139,3 @@ def weight_star(dirichlet: SpectralWeights, neumann: SpectralWeights):
     return star, {"beta_D": dirichlet.beta, "beta_N": neumann.beta,
                   "beta_D_err": dirichlet.beta_err, "beta_N_err": neumann.beta_err,
                   "cap": WEIGHT_CAP, "cap_margin_dec": min(margins, default=None)}
-
-
-def conjugate_pairing_check(spec: SpectrumResult) -> float:
-    """Hausdorff distance between the eigenvalue multiset and its conjugate;
-    meaningful only for undamped (real) pencils."""
-    if spec.pencil.delta != 0:
-        raise NotApplicableDissipative("pencil carries dissipation")
-    lam = spec.Lambdas
-    if len(lam) == 0:
-        return 0.0
-    d = np.abs(lam[:, None] - np.conj(lam)[None, :])
-    return float(d.min(axis=1).max())

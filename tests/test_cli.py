@@ -248,6 +248,45 @@ def test_basis_weights_blowup_bundles(tmp_path):
     assert lines[0] == "n,grad_norm_sq"
 
 
+def test_weights_of_definite_pencils_fall_back_to_full_spectra(monkeypatch):
+    # kappa = 1 on a rim: each mode's weight reads its certified lowest pair;
+    # with every pair refused it reads the full spectrum, and both take the
+    # same decisions, with betas within the full path's bounds
+    cfg = parse_config(json.dumps({
+        "subcommand": "weights", "material": {"kappa": 1.0}, "modes": [0, 1, 2],
+        "geometry": {"kind": "boundary", "alpha": np.pi / 4, "alpha_outer": np.pi / 2,
+                     "outer_bc": "neumann"},
+        "mesh": {"elements": 32, "order": 2}}))
+    lowest = run_command(cfg).documents["weights"]
+    monkeypatch.setattr(ct.spectrum, "_lowest_pair", lambda P: None)
+    full = run_command(cfg).documents["weights"]
+    rim = dataclasses.replace(cfg.geometry, outer_bc="dirichlet")
+    specs = [ct.solve_pencil(ct.pencil_for(rim, cfg.material, m, 32, 2)) for m in cfg.modes]
+    assert full["beta_dirichlet"] == ct.spectral_weights(specs, "dirichlet").beta
+    assert lowest["beta_star"] == full["beta_star"] == 0.5
+    for key in ("beta_D", "beta_N"):
+        a, b = lowest["inputs"], full["inputs"]
+        assert abs(a[key] - b[key]) <= b[key + "_err"] and a[key + "_err"] <= b[key + "_err"]
+
+
+def test_interval_needs_no_material():
+    # the interval is a range of contrasts: its config may leave the material
+    # out, and one that gives it keeps the config_hash it had when the block
+    # was required
+    doc = {"subcommand": "interval", "geometry": {"kind": "internal", "alpha": np.pi / 4},
+           "modes": [0], "mesh": {"elements": 16, "order": 2}}
+    bare = parse_config(json.dumps(doc))
+    given = parse_config(json.dumps({**doc, "material": {"kappa": -0.5}}))
+    assert bare.material is None and given.material.kappa == -0.5
+    assert parse_config(serialize_config(bare)) == bare
+    assert run_command(bare).documents == run_command(given).documents
+    assert given.config_hash == \
+        "37e41b3c5f75ce84631d94efd98bf7d4f5037351c991b5732d1f9d049b4b7196"
+    for sub in ("spectrum", "weights", "basis", "trajectory", "blowup"):
+        with pytest.raises(ConfigError, match="requires a material block"):
+            parse_config(json.dumps({**doc, "subcommand": sub}))
+
+
 class _ReadRecorder(dict):
     """A dict that records which keys are read."""
 
@@ -325,11 +364,12 @@ def test_cli_main_runs(tmp_path):
 
 
 _RUN_DECISION_COMMANDS = """
-import sys
+import json, pathlib, sys
 from conetip.cli import main
-cfg_dir, out = sys.argv[1:]
-for sub in ("spectrum", "weights", "basis", "interval", "trajectory"):
-    assert main([sub, "--config", f"{cfg_dir}/{sub}.json", "--out", f"{out}/{sub}"]) == 0
+cfg_dir, out = map(pathlib.Path, sys.argv[1:])
+for cfg in sorted(cfg_dir.glob("*.json")):
+    sub = json.loads(cfg.read_text())["subcommand"]
+    assert main([sub, "--config", str(cfg), "--out", str(out / cfg.stem)]) == 0
 """
 
 
@@ -370,22 +410,34 @@ def test_decisions_do_not_depend_on_blas_threads(tmp_path):
     # environment only): row modes, order and classes, the sign of Im Lambda,
     # beta_star, the outgoing count and the members, the witness count per
     # mode, the attaining mode and flags, and the selected branches and mode;
-    # the values agree to rounding level
+    # the values agree to rounding level; the kappa = 1 weights, read from
+    # each mode's lowest pair, are byte-identical
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
     for sub in ("spectrum", "weights", "basis", "interval", "trajectory"):
-        (tmp_path / f"{sub}.json").write_text(json.dumps({
+        (cfg_dir / f"{sub}.json").write_text(json.dumps({
             "subcommand": sub,
             "geometry": {"kind": "internal", "alpha": np.pi / 4},
             "material": {"kappa": -0.5}, "modes": [0, 1, 2],
             "mesh": {"elements": 64, "order": 2}}))
+    definite = {"weights_k1_internal": {"kind": "internal", "alpha": np.pi / 4},
+                "weights_k1_rim": {"kind": "boundary", "alpha": np.pi / 4,
+                                   "alpha_outer": np.pi / 2, "outer_bc": "dirichlet"}}
+    for name, geometry in definite.items():
+        (cfg_dir / f"{name}.json").write_text(json.dumps({
+            "subcommand": "weights", "geometry": geometry, "material": {"kappa": 1.0},
+            "modes": [0, 1, 2], "mesh": {"elements": 128, "order": 2}}))
     src = pathlib.Path(ct.__file__).resolve().parents[1]
-    runs = []
+    runs, weights = [], []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         out = tmp_path / threads
-        subprocess.run([sys.executable, "-c", _RUN_DECISION_COMMANDS, str(tmp_path), str(out)],
+        subprocess.run([sys.executable, "-c", _RUN_DECISION_COMMANDS, str(cfg_dir), str(out)],
                        check=True, capture_output=True, env=env, timeout=300)
         runs.append(_read_decision_outputs(out))
+        weights.append([(out / name / "weights.json").read_bytes() for name in definite])
+    assert weights[0] == weights[1]
     (one, Lams_1, values_1), (two, Lams_2, values_2) = runs
     assert one == two
     assert np.all(np.abs(Lams_1 - Lams_2) <= 1e-9 * np.maximum(1.0, np.abs(Lams_1)))

@@ -9,7 +9,7 @@ DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.p
 
 # a line each demo prints only when its pipeline reached the end
 LAST_FINDING = {
-    "01_symbol_spectrum": "Hausdorff distance spectrum vs conjugate below 1e-8: True",
+    "01_symbol_spectrum": "spectrum equals its conjugate, value for value: True",
     "02_critical_interval": "line eigenvalue(s)",
     "03_blackhole_flux": "trapped energy, equal outgoing and incoming amplitudes, "
                          "below 1e-12 in size: True",

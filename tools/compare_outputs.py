@@ -47,6 +47,18 @@ CONFIGS = {
                          "material": HALF, "mesh": N64},
     "weights_dirichlet": {"subcommand": "weights", "geometry": DIRICHLET_RIM,
                           "material": HALF, "mesh": N64},
+    # definite pencils: each mode's weight reads its certified lowest pair
+    "weights_kappa1_N256": {"subcommand": "weights", "geometry": QUARTER,
+                            "material": {"kappa": 1.0},
+                            "mesh": {"elements": 256, "order": 2}},
+    "weights_kappa1_dirichlet": {"subcommand": "weights", "geometry": DIRICHLET_RIM,
+                                 "material": {"kappa": 1.0}, "mesh": N64},
+    "weights_positive_neumann": {"subcommand": "weights", "geometry": NEUMANN_RIM,
+                                 "material": {"kappa": 0.3}, "mesh": N64},
+    # two weight-one eigenvalues one ulp apart in mode 4 (deflated poles)
+    "spectrum_close_poles": {"subcommand": "spectrum", "geometry": QUARTER,
+                             "material": {"kappa": 0.3}, "modes": [4],
+                             "mesh": {"elements": 32, "order": 2}},
     "basis": {"subcommand": "basis", "geometry": QUARTER, "material": HALF,
               "modes": [0, 1, 2], "mesh": N64},
     "trajectory": {"subcommand": "trajectory", "geometry": QUARTER, "material": HALF,
