@@ -19,11 +19,15 @@ from .spectrum import (_weight_spectrum, classify_eigenvalue, line_eigenvalues,
                        solve_pencil, spectral_weights, weight_star)
 
 
-def _mode_spectra(config: RunConfig, geometry=None, solve=solve_pencil):
+def _pencils(config: RunConfig, geometry=None):
     geometry = geometry or config.geometry
     elements, order = config.mesh["elements"], config.mesh["order"]
-    return [solve(assemble_pencil(build_cap(
-        geometry, config.material, m, elements, order))) for m in config.modes]
+    return [assemble_pencil(build_cap(geometry, config.material, m, elements, order))
+            for m in config.modes]
+
+
+def _mode_spectra(config: RunConfig):
+    return [solve_pencil(P) for P in _pencils(config)]
 
 
 def _line_evs(config: RunConfig):
@@ -87,11 +91,11 @@ def _run_weights(config: RunConfig) -> ResultBundle:
     geometry = config.geometry
     if geometry.kind == "boundary":
         # the rim condition is part of the geometry: solve both variants
-        wd, wn = (spectral_weights(_mode_spectra(
-            config, replace(geometry, outer_bc=bc), _weight_spectrum), bc)
+        wd, wn = (spectral_weights([_weight_spectrum(P) for P in _pencils(
+            config, replace(geometry, outer_bc=bc))], bc)
             for bc in ("dirichlet", "neumann"))
     else:
-        specs = _mode_spectra(config, solve=_weight_spectrum)
+        specs = [_weight_spectrum(P) for P in _pencils(config)]
         wd = spectral_weights(specs, "dirichlet")
         wn = spectral_weights(specs, "neumann")
     star, record = weight_star(wd, wn)
