@@ -308,20 +308,29 @@ def test_lambda_map_involution(Lam):
     assert abs(lm * (lm + 1) - Lam) < 1e-13 * scale
 
 
-def test_conjugate_pair_layout(critical_spectrum, quarter_tip, positive_material,
-                              critical_material):
+def _assert_conjugate_pair_layout(L):
     # an undamped spectrum equals its conjugate value for value: real
     # eigenvalues are exactly real, and each complex one is listed next to its
-    # exact conjugate, Im < 0 first (at kappa = 1 every eigenvalue is real)
+    # exact conjugate, Im < 0 first
+    assert np.array_equal(np.sort_complex(L), np.sort_complex(np.conj(L)))
+    j = np.flatnonzero(L.imag < 0)
+    assert np.array_equal(L[j + 1], np.conj(L[j]))
+    assert np.count_nonzero(L.imag > 0) == len(j)
+
+
+def test_conjugate_pairing(critical_spectrum):
+    _assert_conjugate_pair_layout(critical_spectrum.Lambdas)
+    assert np.count_nonzero(critical_spectrum.Lambdas.imag < 0) > 0
+
+
+def test_conjugate_pairing_positive(quarter_tip, positive_material):
+    # at kappa = 1 every eigenvalue is real
     positive = ct.solve_pencil(ct.pencil_for(quarter_tip, positive_material, 0, 32, 2))
     assert np.all(positive.Lambdas.imag == 0)
-    for spec in (critical_spectrum, positive):
-        L = spec.Lambdas
-        assert np.array_equal(np.sort_complex(L), np.sort_complex(np.conj(L)))
-        j = np.flatnonzero(L.imag < 0)
-        assert np.array_equal(L[j + 1], np.conj(L[j]))
-        assert np.count_nonzero(L.imag > 0) == len(j)
-    assert np.count_nonzero(critical_spectrum.Lambdas.imag < 0) > 0
+    _assert_conjugate_pair_layout(positive.Lambdas)
+
+
+def test_conjugate_pairing_rejects_dissipative(quarter_tip, critical_material):
     # dissipation breaks the symmetry: a damped spectrum is no conjugate set
     cap = ct.build_cap(quarter_tip, critical_material, 0, 24, 2)
     L = ct.solve_pencil(ct.assemble_dissipative_pencil(cap, 1e-3)).Lambdas
