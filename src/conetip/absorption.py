@@ -76,7 +76,7 @@ def trajectory(cap: DiscreteCap, le: LineEigenvalue, delta_grid,
         if not res < RESIDUAL_TOL:
             raise TrajectoryLost(f"no certified eigenpair at delta={d:g} "
                                  f"(residual {res:.2e})")
-        v = _normalize_one(v, m1)
+        v = _normalize_one(v, base.bands.mass_one)
         ov = abs(np.conj(v_prev) @ _times(m1, v))
         if ov < OVERLAP_MIN:
             raise TrajectoryLost(f"overlap {ov:.3f} at delta={d:g}")
@@ -109,7 +109,7 @@ def _rayleigh_iteration(P: PencilMatrices, Lam, v):
             break
         x = x / np.linalg.norm(x)
         Lam_x = complex(x @ _times(A, x) / (x @ _times(B, x)))
-        res_x = _backward_error(A, B, x[:, None], Lam_x)[0]
+        res_x = _backward_error(P, x[:, None], Lam_x)[0]
         if res < RESIDUAL_TOL and not res_x < res / 2:
             break
         Lam, v, res = Lam_x, x, res_x

@@ -25,8 +25,9 @@ reciprocal ratio ``sigma_minus / sigma_plus`` flips it to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,6 +224,29 @@ class DiscreteCap:
         return full
 
 
+def _retained_dofs(geometry: CapGeometry, mode: int, mesh: Mesh1D) -> np.ndarray:
+    """Full dof indices kept after eliminating pole dofs (``mode >= 1``) and a
+    Dirichlet outer-rim dof: one contiguous range."""
+    keep = np.ones(mesh.n_dof_full, dtype=bool)
+    has_north_pole = geometry.kind == INTERNAL or (
+        geometry.kind == BOUNDARY and geometry.alpha_outer >= np.pi - 1e-14)
+    if mode >= 1:
+        keep[0] = False
+        if has_north_pole:
+            keep[-1] = False
+    if geometry.kind == BOUNDARY and geometry.outer_bc == DIRICHLET:
+        keep[-1] = False
+    return np.flatnonzero(keep)
+
+
+def _quadrature(mesh: Mesh1D):
+    """Latitudes and weights of the Gauss points, flattened over elements."""
+    xg, wg, _, _ = _reference_shapes(mesh.element_order)
+    a, b = mesh.nodes[:-1, None], mesh.nodes[1:, None]
+    h = b - a
+    return ((a + b) / 2 + h / 2 * xg).ravel(), (h / 2 * wg).ravel()
+
+
 def build_cap(geometry: CapGeometry, material: MaterialSpec, mode: int,
               elements: int = 64, order: int = 2) -> DiscreteCap:
     """Build the interface-aligned mesh and boundary-condition data for one
@@ -237,27 +261,13 @@ def build_cap(geometry: CapGeometry, material: MaterialSpec, mode: int,
     if elements < 4:
         raise InvalidGeometry("need at least 4 elements")
     mesh = _build_mesh(geometry, elements, order)
-
-    keep = np.ones(mesh.n_dof_full, dtype=bool)
-    has_north_pole = geometry.kind == INTERNAL or (
-        geometry.kind == BOUNDARY and geometry.alpha_outer >= np.pi - 1e-14)
-    if mode >= 1:
-        keep[0] = False
-        if has_north_pole:
-            keep[-1] = False
-    if geometry.kind == BOUNDARY and geometry.outer_bc == DIRICHLET:
-        keep[-1] = False
-
-    xg, wg, _, _ = _reference_shapes(order)
-    a, b = mesh.nodes[:-1, None], mesh.nodes[1:, None]
-    h = b - a
+    quad_lat, quad_weight = _quadrature(mesh)
     below = np.arange(mesh.n_elements) < mesh.interface_index
     sig = np.repeat(np.where(below, material.sigma_minus + 1j * material.delta,
                              material.sigma_plus + 1j * material.delta), _GAUSS_POINTS)
     return DiscreteCap(geometry=geometry, material=material, mode=mode, mesh=mesh,
-                       dof_map=np.flatnonzero(keep),
-                       quad_lat=((a + b) / 2 + h / 2 * xg).ravel(),
-                       quad_weight=(h / 2 * wg).ravel(),
+                       dof_map=_retained_dofs(geometry, mode, mesh),
+                       quad_lat=quad_lat, quad_weight=quad_weight,
                        quad_sigma=sig if material.delta else sig.real)
 
 
@@ -304,6 +314,64 @@ def angular_gram(cap: DiscreteCap, f: np.ndarray, g: np.ndarray,
     return complex(np.sum(w * fv * np.conj(gv)))
 
 
+class PencilBands(NamedTuple):
+    """The four matrices of a pencil in lower band storage, ``(u + 1) x n``
+    each, ``u`` the half-bandwidth: row ``k`` holds the ``k``-th subdiagonal,
+    ``M[i + k, i]`` at column ``i``, and ends in ``k`` zeros (LAPACK's
+    ``dpbtrf`` layout).  The matrices are symmetric, so this is all of them."""
+
+    A: np.ndarray
+    B: np.ndarray
+    stiffness_one: np.ndarray
+    mass_one: np.ndarray
+
+
+def _dense(Mb: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower band storage is ``Mb``."""
+    n = Mb.shape[1]
+    M = np.zeros((n, n), dtype=Mb.dtype)
+    flat = M.reshape(-1)
+    for k, d in enumerate(Mb):
+        flat[k * n::n + 1] = d[:n - k]          # k-th subdiagonal
+        flat[k:(n - k) * n:n + 1] = d[:n - k]   # k-th superdiagonal
+    return M
+
+
+def _lower_band(M: np.ndarray, u: int) -> np.ndarray:
+    """Lower band storage of ``M``; a matrix that is not symmetric with
+    half-bandwidth ``u`` raises :class:`~conetip.errors.DimensionMismatch`,
+    so the band always holds all of ``M``."""
+    n = len(M)
+    Mb = np.zeros((u + 1, n), dtype=M.dtype)
+    for k in range(u + 1):
+        Mb[k, :n - k] = np.diagonal(M, -k)
+    if not np.array_equal(_dense(Mb), M):
+        raise DimensionMismatch(f"not a symmetric matrix of half-bandwidth {u}")
+    return Mb
+
+
+class _Dense:
+    """A dense matrix of :class:`PencilMatrices`: the array the pencil was
+    built with, or else its band formed on the first read and kept on that
+    pencil (a required dataclass field; its class access has no default)."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, P, owner=None):
+        if P is None:
+            raise AttributeError(self.name)
+        M = P.__dict__.get(self.name)
+        if M is None:
+            M = _dense(getattr(P.bands, self.name))
+            M.setflags(write=False)
+            P.__dict__[self.name] = M
+        return M
+
+    def __set__(self, P, M):
+        P.__dict__[self.name] = M
+
+
 @dataclass(frozen=True)
 class PencilMatrices:
     """Discrete symbol pencil ``A - Lambda B`` for one azimuthal mode.
@@ -312,75 +380,114 @@ class PencilMatrices:
     ``A == A.T`` exactly); real when ``delta == 0``.  ``stiffness_one`` /
     ``mass_one`` are the weight-one counterparts, used for dissipative
     perturbations ``A + i delta A1`` and for normalization.
+
+    The pencil is held as ``bands``, the four matrices in lower band storage
+    (:class:`PencilBands`, half-bandwidth the element order), and the solvers
+    read only these.  The four dense attributes are read-only arrays formed
+    from the bands on their first read and kept on the pencil.  A pencil
+    built from dense arrays (``PencilMatrices(A=..., B=..., stiffness_one=...,
+    mass_one=..., cap=..., delta=...)``, or ``dataclasses.replace``) keeps
+    them and takes its bands from them, exactly: each must be symmetric with
+    half-bandwidth the cap's element order (any width without a cap).
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    stiffness_one: np.ndarray
-    mass_one: np.ndarray
+    A: np.ndarray = _Dense()
+    B: np.ndarray = _Dense()
+    stiffness_one: np.ndarray = _Dense()
+    mass_one: np.ndarray = _Dense()
     cap: DiscreteCap | None
     delta: float = 0.0
+    bands: PencilBands = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for a in (self.A, self.B, self.stiffness_one, self.mass_one):
+        dense = [getattr(self, name) for name in PencilBands._fields]
+        u = self.cap.mesh.element_order if self.cap is not None else len(dense[0]) - 1
+        for a in dense:
             a.setflags(write=False)
+        object.__setattr__(self, "bands", _frozen(PencilBands(
+            *(_lower_band(a, u) for a in dense))))
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.bands.A.shape[1]
 
 
-def _region_blocks(cap: DiscreteCap):
-    """Coefficient-free region matrices ``((A_minus, B_minus), (A_plus, B_plus))``
-    on the retained dofs: the pencil of the coefficient 1 on one side of the
-    interface and 0 on the other, so ``A = s_minus A_minus + s_plus A_plus``
-    (likewise B).  Each entry sums products symmetric in the shape pair and is
-    scattered in element order, so every block is exactly symmetric."""
-    mesh = cap.mesh
-    _, _, shape_n, shape_d = _reference_shapes(mesh.element_order)
-    wq = cap.quad_weight.reshape(mesh.n_elements, _GAUSS_POINTS)
-    c = np.cos(cap.quad_lat.reshape(wq.shape))
+def _frozen(bands: PencilBands) -> PencilBands:
+    for b in bands:
+        b.setflags(write=False)
+    return bands
+
+
+def _from_bands(bands: PencilBands, cap: DiscreteCap, delta: float) -> PencilMatrices:
+    """The pencil of ``cap`` held as its bands alone (no dense array)."""
+    P = object.__new__(PencilMatrices)
+    for name, value in (("cap", cap), ("delta", delta), ("bands", _frozen(bands))):
+        object.__setattr__(P, name, value)
+    return P
+
+
+def _region_bands(geometry: CapGeometry, mode: int, elements: int, order: int):
+    """``(p, blocks)``: the retained interface dof ``p`` and the
+    coefficient-free region matrices ``((A_minus, B_minus), (A_plus, B_plus))``
+    of the cap of that geometry, mode and mesh, in lower band storage on the
+    retained dofs.  They are the pencil of the coefficient 1 on one side of
+    the interface and 0 on the other, so ``A = s_minus A_minus + s_plus A_plus``
+    (likewise B), and they do not depend on a material.
+
+    The lower triangle of each element matrix is scattered by ``np.bincount``
+    onto band indices in element order, so every entry sums the same terms in
+    the same order as a dense scatter of the whole element matrices, and each
+    entry stands for its mirror image too, so the matrices are exactly
+    symmetric."""
+    mesh = _build_mesh(geometry, elements, order)
+    quad_lat, quad_weight = _quadrature(mesh)
+    _, _, shape_n, shape_d = _reference_shapes(order)
+    wq = quad_weight.reshape(mesh.n_elements, _GAUSS_POINTS)
+    c = np.cos(quad_lat.reshape(wq.shape))
     jac2 = (2 / np.diff(mesh.nodes)) ** 2
     nn_k = shape_n[:, None] * shape_n[None]      # (shape, shape, Gauss point)
     dd_k = shape_d[:, None] * shape_d[None]
     stiff = (dd_k * (jac2[:, None] * wq * c)[:, None, None]
-             + nn_k * (cap.mode ** 2 * wq / c)[:, None, None]).sum(axis=-1)
+             + nn_k * (mode ** 2 * wq / c)[:, None, None]).sum(axis=-1)
     mass = (nn_k * (wq * c)[:, None, None]).sum(axis=-1)
 
-    n, k, dofs = mesh.n_dof_full, mesh.interface_index, mesh.element_dofs
-    flat = (n * dofs[:, :, None] + dofs[:, None, :]).reshape(mesh.n_elements, -1)
-    ix = np.ix_(cap.dof_map, cap.dof_map)
-    return tuple(tuple(np.bincount(flat[side].ravel(), M[side].ravel(), n * n)
-                       .reshape(n, n)[ix] for M in (stiff, mass))
-                 for side in (slice(None, k), slice(k, None)))
+    # element entry (a, b), a >= b, is band entry (a - b, dof of b)
+    a, b = np.tril_indices(order + 1)
+    n_full, k = mesh.n_dof_full, mesh.interface_index
+    flat = (a - b) * n_full + mesh.element_dofs[:, b]
+    size = (order + 1) * n_full
+    full = np.stack([np.stack([np.bincount(flat[side].ravel(), M[side][:, a, b].ravel(), size)
+                               for M in (stiff, mass)])
+                     for side in (slice(None, k), slice(k, None))])
+    dofs = _retained_dofs(geometry, mode, mesh)
+    n = len(dofs)
+    blocks = full.reshape(2, 2, order + 1, n_full)[..., dofs[0]:dofs[0] + n].copy()
+    for d in range(1, order + 1):
+        blocks[..., d, n - d:] = 0.0   # couplings to eliminated dofs
+    return order * k - dofs[0], blocks
 
 
 def _dissipated(P: PencilMatrices, delta: float) -> PencilMatrices:
     """The undamped pencil ``P`` with ``i*delta`` added to the coefficient:
-    ``A0 + i delta A1``, ``B0 + i delta B1``."""
-    return replace(P, A=P.A + 1j * delta * P.stiffness_one,
-                   B=P.B + 1j * delta * P.mass_one, delta=delta)
-
-
-def _band(M: np.ndarray, u: int) -> np.ndarray:
-    """Diagonal-ordered storage of a matrix of half-bandwidth ``u``, as
-    ``scipy.linalg.solve_banded`` takes it."""
-    n = M.shape[0]
-    ab = np.zeros((2 * u + 1, n), dtype=M.dtype)
-    for k in range(-u, u + 1):
-        ab[u - k, max(k, 0):n + min(k, 0)] = np.diagonal(M, k)
-    return ab
+    ``A0 + i delta A1``, ``B0 + i delta B1``, combined on the band."""
+    b = P.bands
+    return _from_bands(b._replace(A=b.A + 1j * delta * b.stiffness_one,
+                                  B=b.B + 1j * delta * b.mass_one), P.cap, delta)
 
 
 def assemble_pencil(cap: DiscreteCap) -> PencilMatrices:
-    """Assemble the pencil of the cap's material (including its dissipation)."""
-    (A_minus, B_minus), (A_plus, B_plus) = _region_blocks(cap)
+    """Assemble the pencil of the cap's material (including its dissipation)
+    on the band: the region blocks of :func:`_region_bands`, combined with
+    the coefficients in O(n u)."""
+    _, ((A_minus, B_minus), (A_plus, B_plus)) = _region_bands(
+        cap.geometry, cap.mode, cap.mesh.n_elements, cap.mesh.element_order)
     s_minus, s_plus = (sigma_at(cap, cap.geometry.interface_latitude, side)
                        for side in ("minus", "plus"))
-    return PencilMatrices(A=s_minus * A_minus + s_plus * A_plus,
-                          B=s_minus * B_minus + s_plus * B_plus,
-                          stiffness_one=A_minus + A_plus, mass_one=B_minus + B_plus,
-                          cap=cap, delta=cap.material.delta)
+    return _from_bands(PencilBands(A=s_minus * A_minus + s_plus * A_plus,
+                                   B=s_minus * B_minus + s_plus * B_plus,
+                                   stiffness_one=A_minus + A_plus,
+                                   mass_one=B_minus + B_plus),
+                       cap, cap.material.delta)
 
 
 def assemble_dissipative_pencil(cap: DiscreteCap, delta: float) -> PencilMatrices:

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cap import (CapGeometry, MaterialSpec, _band, _region_blocks,
-                  assemble_pencil, build_cap)
+from .cap import CapGeometry, MaterialSpec, _region_bands, assemble_pencil, build_cap
 from .errors import (CriticalContrastExcluded, InvalidGeometry, NoTransitionFound,
                      SeriesDomain, SeriesNonconvergent)
 from .spectrum import _line_census
@@ -102,24 +101,32 @@ def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
     return len(witnesses) > 0, witnesses
 
 
-def _interface_schur(A, B, face, u):
-    """``Lambda -> (S, b)`` of one region, interface dof at position ``face``:
-    ``S = phi^T (A - Lambda B) phi`` and ``b = phi^T B phi`` for ``phi`` the
-    unit interface value extended by one solve of the interior rows.  The
-    interior block ``A - Lambda B`` is positive definite for every
-    ``Lambda <= -1/4``, so it is solved by LAPACK's banded Cholesky ``pbsv``
-    on its lower band (half-bandwidth ``u``); a nonzero ``info`` raises
-    :class:`numpy.linalg.LinAlgError`."""
-    inner = slice(1, None) if face == 0 else slice(0, -1)
-    # copies, not views: the relation must not keep the dense blocks alive
-    a, b = A[inner, face].copy(), B[inner, face].copy()
-    A_ff, B_ff = A[face, face], B[face, face]
-    A_low, B_low = (_band(M[inner, inner], u)[u:] for M in (A, B))
+def _interface_schur(A, B, face):
+    """``Lambda -> (S, b)`` of one region, from its matrices in lower band
+    storage (half-bandwidth ``u``) with the interface dof first (``face = 0``)
+    or last (``face = -1``): ``S = phi^T (A - Lambda B) phi`` and
+    ``b = phi^T B phi`` for ``phi`` the unit interface value extended by one
+    solve of the interior rows.  The interior block ``A - Lambda B`` is
+    positive definite for every ``Lambda <= -1/4``, so it is solved by
+    LAPACK's banded Cholesky ``pbsv`` on its lower band; a nonzero ``info``
+    raises :class:`numpy.linalg.LinAlgError`."""
+    u, m = len(A) - 1, A.shape[1]
+    k = np.arange(1, min(u, m - 1) + 1)
+    # the interior's band and its coupling column to the face, with its zeros
+    if face == 0:
+        A_low, B_low = A[:, 1:], B[:, 1:]
+        at = k - 1
+        a_k, b_k = A[k, 0], B[k, 0]
+    else:
+        A_low, B_low = A[:, :-1].copy(), B[:, :-1].copy()
+        at = m - 1 - k
+        a_k, b_k = A[k, at], B[k, at]
+        A_low[k, at] = B_low[k, at] = 0.0
+    a, b = np.zeros(m - 1), np.zeros(m - 1)
+    a[at], b[at] = a_k, b_k
+    A_ff, B_ff = A[0, face], B[0, face]
     import scipy.linalg
     pbsv, = scipy.linalg.get_lapack_funcs(("pbsv",), (A_low,))
-    # x^T B x over the lower band's entries B[i + k, i], off the diagonal twice
-    k, i = np.nonzero(B_low)
-    w, j = np.where(k > 0, 2.0, 1.0) * B_low[k, i], i + k
 
     def schur(Lam):
         f = a - Lam * b
@@ -127,7 +134,10 @@ def _interface_schur(A, B, face, u):
                           overwrite_ab=1, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"interior block not positive definite (info {info})")
-        return A_ff - Lam * B_ff + f @ x, B_ff + 2.0 * (b @ x) + w @ (x[i] * x[j])
+        # x^T B x over the lower band, each off-diagonal entry twice
+        xBx = B_low[0] @ (x * x) + 2.0 * sum(B_low[d, :-d] @ (x[:-d] * x[d:])
+                                               for d in range(1, u + 1))
+        return A_ff - Lam * B_ff + f @ x, B_ff + 2.0 * (b @ x) + xBx
 
     return schur
 
@@ -142,15 +152,14 @@ def dispersion_relation(geometry: CapGeometry, mode: int, elements: int = 64,
     one leaves ``kappa_m = -S_minus / S_plus``, the one contrast whose pencil
     carries ``Lambda``.  ``krein = b_minus + kappa b_plus`` has the sign of
     ``dkappa/dLambda``, the Krein sign (Gohberg, Lancaster & Rodman, 2005),
-    so it changes sign exactly at a fold, a Jordan point.
+    so it changes sign exactly at a fold, a Jordan point.  The region blocks
+    are read on the band, with no material (they do not depend on one).
     """
-    # the region blocks do not depend on the cap's coefficient
-    cap = build_cap(geometry, MaterialSpec(1.0, 1.0), mode, elements, order)
-    p = cap.interface_dof
-    sides = [_interface_schur(*(M[block, block] for M in region), face, order)
-             for region, block, face in zip(_region_blocks(cap),
-                                            (slice(None, p + 1), slice(p, None)),
-                                            (-1, 0))]
+    p, ((A_minus, B_minus), (A_plus, B_plus)) = _region_bands(
+        geometry, mode, elements, order)
+    # each region's block: the minus one on dofs [0, p], the plus one on [p, n)
+    sides = [_interface_schur(A_minus[:, :p + 1], B_minus[:, :p + 1], -1),
+             _interface_schur(A_plus[:, p:], B_plus[:, p:], 0)]
 
     def relation(eta):
         (s_minus, b_minus), (s_plus, b_plus) = (side(-0.25 - eta * eta)

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cap import PencilMatrices, _band
+from .cap import PencilMatrices, _from_bands
 from .errors import DimensionMismatch, NotApplicableDissipative
 
 RESIDUAL_TOL = 1e-8
@@ -124,14 +124,6 @@ def _times(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (M @ W).view(complex).reshape(V.shape)
 
 
-def _band_times(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``M @ X`` for a symmetric banded ``M`` (:func:`_lower_times` on its
-    band)."""
-    i, j = np.nonzero(M)
-    u = int(np.max(j - i, initial=0))
-    return _lower_times(_band(M, u)[u:], X)
-
-
 def _lower_times(Mb: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``M @ X`` for a symmetric ``M`` in lower band storage ``Mb`` (row
     ``k`` the ``k``-th subdiagonal), summed diagonal by diagonal: O(n u) per
@@ -147,10 +139,43 @@ def _lower_times(Mb: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out.reshape(X.shape)
 
 
-def _norm(M: np.ndarray) -> float:
-    """Largest column 2-norm of ``M``: a lower bound of ``||M||_2`` within a
-    factor ``sqrt(n)``, and the matrix scale of every residual and Gram test."""
-    return float(np.linalg.norm(M, axis=0).max())
+def _columns(Mb: np.ndarray) -> np.ndarray:
+    """The symmetric matrix ``M`` of lower band storage ``Mb`` (half-bandwidth
+    ``u``) in diagonal-ordered storage, as ``scipy.linalg.solve_banded``
+    takes it: row ``u + i - j`` holds ``M[i, j]``, so column ``j`` lists the
+    band of column ``j`` of ``M`` in row order."""
+    u, n = len(Mb) - 1, Mb.shape[1]
+    C = np.zeros((2 * u + 1, n), dtype=Mb.dtype)
+    C[u:] = Mb
+    for k in range(1, u + 1):
+        C[u - k, k:] = Mb[k, :n - k]
+    return C
+
+
+def _row(Mb: np.ndarray, p: int) -> np.ndarray:
+    """Row ``p`` of the symmetric matrix of lower band storage ``Mb``, with
+    its zeros."""
+    n = Mb.shape[1]
+    r = np.zeros(n, dtype=Mb.dtype)
+    for k in range(len(Mb)):
+        if k <= p:
+            r[p - k] = Mb[k, p - k]
+        if 0 < k < n - p:
+            r[p + k] = Mb[k, p]
+    return r
+
+
+def _norm(Mb: np.ndarray) -> float:
+    """Largest column 2-norm of the symmetric matrix of lower band storage
+    ``Mb``: a lower bound of ``||M||_2`` within a factor ``sqrt(n)``, and the
+    matrix scale of every residual and Gram test.  Each column is summed in
+    row order, as over the dense column (its zeros add nothing)."""
+    return float(np.linalg.norm(_columns(Mb), axis=0).max())
+
+
+def _one_norm(Mb: np.ndarray) -> float:
+    """``||M||_1`` of the symmetric matrix of lower band storage ``Mb``."""
+    return float(np.abs(_columns(Mb)).sum(axis=0).max())
 
 
 def _col_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -160,25 +185,28 @@ def _col_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _normalize_one(V: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """Scale each column of ``V`` (or the one vector ``V``) to unit weight-one
-    norm and rotate its largest entry onto the positive real axis (its
-    imaginary part, at rounding level after the rotation, is zeroed).  A
-    column gets the same bits alone as in a block."""
+    norm, ``m1`` the lower band storage of ``M1``, and rotate its largest
+    entry onto the positive real axis (its imaginary part, at rounding level
+    after the rotation, is zeroed).  A column gets the same bits alone as in
+    a block."""
     W = np.array(V, dtype=complex, order="C").reshape(len(V), -1)
-    W /= np.sqrt(_col_dot(W, _band_times(m1, W)))
+    W /= np.sqrt(_col_dot(W, _lower_times(m1, W)))
     top = (np.argmax(np.abs(W), axis=0), np.arange(W.shape[1]))
     W *= np.conj(W[top]) / np.abs(W[top])
     W[top] = W[top].real
     return W.reshape(np.shape(V))
 
 
-def _backward_error(A, B, V, Lams):
+def _backward_error(P: PencilMatrices, V, Lams):
     """Backward error ``||A v - Lambda B v|| / (||A|| + |Lambda| ||B||)`` (Tisseur,
-    LAA 2000) of each pair ``(Lams[j], V[:, j])``, ``V`` C-contiguous; the norms
-    are the largest column 2-norms, lower bounds, so it over-estimates the error."""
-    R = _times(B, V)
+    LAA 2000) of each pair ``(Lams[j], V[:, j])`` of the pencil ``P``, ``V``
+    complex and C-contiguous, on the band; the norms are the largest column
+    2-norms, lower bounds, so it over-estimates the error."""
+    Ab, Bb = P.bands.A, P.bands.B
+    R = _lower_times(Bb, V)
     R *= Lams
-    R -= _times(A, V)
-    return np.sqrt(_col_dot(R, R)) / (_norm(A) + np.abs(Lams) * _norm(B))
+    R -= _lower_times(Ab, V)
+    return np.sqrt(_col_dot(R, R)) / (_norm(Ab) + np.abs(Lams) * _norm(Bb))
 
 
 def solve_pencil(P: PencilMatrices) -> SpectrumResult:
@@ -203,15 +231,15 @@ def solve_pencil(P: PencilMatrices) -> SpectrumResult:
     S = _secular_terms(P)
     Lams = _weight_one_solve(S)
     res = _certificates(P, S, Lams)
-    vecs = [partial(_formed, S, P.mass_one, Lam) for Lam in Lams]
+    vecs = [partial(_formed, S, P.bands.mass_one, Lam) for Lam in Lams]
     for j in np.flatnonzero(~(res < RESIDUAL_TOL)):
         v = vecs[j]()
-        res[j] = _backward_error(P.A, P.B, v[:, None], Lams[j])[0]
+        res[j] = _backward_error(P, v[:, None], Lams[j])[0]
         if not res[j] < RESIDUAL_TOL:
             x = _inverse_step(P, Lams[j], v)
             if x is not None:
-                v = _normalize_one(x, P.mass_one)
-                res[j] = _backward_error(P.A, P.B, v[:, None], Lams[j])[0]
+                v = _normalize_one(x, P.bands.mass_one)
+                res[j] = _backward_error(P, v[:, None], Lams[j])[0]
         vecs[j] = v
     keep = res < RESIDUAL_TOL
     pairs = tuple(EigenPair(complex(Lams[j]), vecs[j], float(res[j]))
@@ -244,18 +272,20 @@ def _secular_terms(P: PencilMatrices, basis=None) -> _Secular:
     (:func:`_weight_one_basis` with its close poles deflated,
     :func:`_deflate_close_poles`, or ``basis`` when given), ``u = V[p]`` and
     the rank-one row ``(a, b)`` in that basis, read from row ``p`` of the
-    pencil; its eigenvalues are those of ``diag(mu) + gamma u w^T``."""
-    cap, K1, M1 = P.cap, P.stiffness_one, P.mass_one
-    p, order = cap.interface_dof, cap.mesh.element_order
+    pencil's bands; its eigenvalues are those of ``diag(mu) + gamma u w^T``."""
+    cap, bands = P.cap, P.bands
+    p = cap.interface_dof
     s_plus = cap.material.sigma_plus + (1j * P.delta if P.delta else 0.0)
-    ab = np.stack([P.A[p], P.B[p]]) / s_plus - np.stack([K1[p], M1[p]])
-    mu, V = basis or _deflate_close_poles(K1, M1, order, p,
-                                          *_weight_one_basis(K1, M1, order))
+    A_p, B_p, K1_p, M1_p = (_row(Mb, p) for Mb in bands)
+    ab = np.stack([A_p, B_p]) / s_plus - np.stack([K1_p, M1_p])
+    mu, V = basis or _deflate_close_poles(
+        bands, p, *_weight_one_basis(P.stiffness_one, bands.mass_one))
     alpha, beta = ab.real @ V + 1j * (ab.imag @ V) if np.iscomplexobj(ab) else ab @ V
     u = V[p]
     undamped = None
     if P.delta:
-        undamped = _secular_terms(replace(P, A=P.A.real, B=P.B.real, delta=0.0), (mu, V))
+        real = bands._replace(A=bands.A.real, B=bands.B.real)
+        undamped = _secular_terms(_from_bands(real, cap, 0.0), (mu, V))
     return _Secular(mu, V, u, alpha, beta, alpha - mu * beta, 1.0 / (1.0 + beta @ u),
                     undamped)
 
@@ -362,22 +392,21 @@ def _certificates(P: PencilMatrices, S: _Secular, Lams) -> np.ndarray:
     ``kappa = 1`` (``y = e_j``, no Cauchy block) the bound is ``|s| ||E e_j||``
     plus that rounding.
     """
-    M1, V, mu, u = P.mass_one, S.V, S.mu, S.u
+    bands, V, mu, u = P.bands, S.V, S.mu, S.u
     n, p = len(mu), P.cap.interface_dof
-    e_norm, v_norm = _basis_residual_norms(P.stiffness_one, M1, V, mu,
-                                           P.cap.mesh.element_order)
+    e_norm, v_norm = _basis_residual_norms(bands, V, mu)
     s_minus, s_plus = (abs(s + 1j * P.delta) for s in
                        (P.cap.material.sigma_minus, P.cap.material.sigma_plus))
     s_max = max(s_minus, s_plus)
-    one_norm = lambda M: np.abs(M).sum(axis=0).max()
-    A1, B1, A_c, B_c = one_norm(P.A), one_norm(P.B), _norm(P.A), _norm(P.B)
+    A1, B1 = _one_norm(bands.A), _one_norm(bands.B)
+    A_c, B_c = _norm(bands.A), _norm(bands.B)
     if not S.w.any():               # kappa = 1: every y is e_j
         L = np.abs(Lams)
         return (s_max * e_norm + 2.0 * _EPS * (A1 + L * B1) * v_norm) / (A_c + L * B_c)
     Y = _cauchy(S, Lams)
-    g = _band_times(M1, V @ u)
+    g = _lower_times(bands.mass_one, V @ u)
     g[p] -= 1.0
-    g_norm, m1_half, uu = np.linalg.norm(g), np.sqrt(one_norm(M1)), u @ u
+    g_norm, m1_half, uu = np.linalg.norm(g), np.sqrt(_one_norm(bands.mass_one)), u @ u
     norms, rows = np.stack([e_norm, v_norm, np.abs(S.alpha), np.abs(S.beta)]), \
         np.stack([S.alpha, S.beta])
 
@@ -397,16 +426,18 @@ def _certificates(P: PencilMatrices, S: _Secular, Lams) -> np.ndarray:
     return _in_columns(bound, Lams, Y.T)[0]
 
 
-def _basis_residual_norms(K1, M1, V, mu, u):
+def _basis_residual_norms(bands, V, mu):
     """Column 2-norms of ``E = K1 V - M1 V diag(mu)`` and of ``V``, a block
-    of columns at a time: ``E`` is summed along the band (half-bandwidth
-    ``u``) of ``K1`` and ``M1``, diagonal ``k`` contributing
-    ``K1_k - M1_k mu_j`` times the shifted rows of ``V``."""
+    of columns at a time: ``E`` is summed along the pencil's ``bands`` of
+    ``K1`` and ``M1``, diagonal ``k`` contributing ``K1_k - M1_k mu_j`` times
+    the shifted rows of ``V``."""
+    K1b, M1b, n = bands.stiffness_one, bands.mass_one, len(V)
+
     def norms(mu, Vt):
         X = Vt.T
-        E = X * (K1.diagonal()[:, None] - M1.diagonal()[:, None] * mu)
-        for k in range(1, u + 1):
-            W = K1.diagonal(k)[:, None] - M1.diagonal(k)[:, None] * mu
+        E = X * (K1b[0][:, None] - M1b[0][:, None] * mu)
+        for k in range(1, len(K1b)):
+            W = K1b[k, :n - k, None] - M1b[k, :n - k, None] * mu
             E[:-k] += W * X[k:]
             E[k:] += W * X[:-k]
         return np.linalg.norm(E, axis=0), np.linalg.norm(X, axis=0)
@@ -708,23 +739,24 @@ def _line_census(P: PencilMatrices) -> np.ndarray:
     return np.sqrt(np.sort(-0.25 - np.concatenate([roots, bands])))
 
 
-def _weight_one_basis(K1: np.ndarray, M1: np.ndarray, u: int):
+def _weight_one_basis(K1: np.ndarray, M1b: np.ndarray):
     """``(mu, V)`` with ``K1 V = M1 V diag(mu)``, ``V^T M1 V = I``, ``mu``
     ascending: one symmetric eigensolve of ``C = L^-1 K1 L^-T``.
 
-    ``M1 = L L^T`` is factored on its band (half-bandwidth ``u``, the element
-    order) by LAPACK's banded Cholesky ``dpbtrf``, and ``C`` and
-    ``V = L^-T Q`` come from banded triangular substitutions ``dtbtrs``, so
-    each solve costs O(n^2 u), not a dense O(n^3) LU.  A mass matrix that is
-    not positive definite raises :class:`numpy.linalg.LinAlgError`."""
-    L = _band_cholesky(_band(M1, u)[u:])
+    ``M1 = L L^T`` is factored from its lower band storage ``M1b``
+    (half-bandwidth the element order) by LAPACK's banded Cholesky
+    ``dpbtrf``, and ``C`` and ``V = L^-T Q`` come from banded triangular
+    substitutions ``dtbtrs`` on the dense ``K1``, so each solve costs
+    O(n^2 u), not a dense O(n^3) LU.  A mass matrix that is not positive
+    definite raises :class:`numpy.linalg.LinAlgError`."""
+    L = _band_cholesky(M1b)
     if L is None:
         raise np.linalg.LinAlgError("mass matrix not positive definite")
     mu, Q = np.linalg.eigh(_lower_solve(L, _lower_solve(L, K1).T))
     return mu, _lower_solve(L, Q, trans="T")
 
 
-def _deflate_close_poles(K1, M1, u, p, mu, V):
+def _deflate_close_poles(bands, p, mu, V):
     """The basis ``(mu, V)`` with every two adjacent columns whose ``mu``
     differ by less than their residuals resolve rotated in their plane, so
     that the smaller of their interface entries ``V[p]`` vanishes: that
@@ -739,7 +771,8 @@ def _deflate_close_poles(K1, M1, u, p, mu, V):
     Stat. Comput. 8, 1987) deflate.  A backward-stable eigensolve leaves
     ``E`` at rounding level, so only gaps below ``sqrt(eps) |mu|`` are
     examined.  Without the rotation, two poles a rounding error apart keep a
-    coupling ``u_i w_i`` of rounding size and are both taken for roots."""
+    coupling ``u_i w_i`` of rounding size and are both taken for roots.
+    ``bands`` are the pencil's (:class:`~conetip.cap.PencilBands`)."""
     close = np.flatnonzero(np.diff(mu) <= np.sqrt(_EPS) * np.abs(mu[1:]))
     if not len(close):
         return mu, V
@@ -753,8 +786,9 @@ def _deflate_close_poles(K1, M1, u, p, mu, V):
         # rows (y, -x) / r and (x, y) / r take (x, y) to (0, r); each new
         # column gains at most |x| / r (mu_{i+1} - mu_i) ||M1 v|| in E
         r = np.hypot(x, y)
-        e, _ = _basis_residual_norms(K1, M1, V[:, pair], mu[pair], u)
-        gain = abs(x) / r * (mu[i + 1] - mu[i]) * np.linalg.norm(M1 @ V[:, pair], axis=0).max()
+        e, _ = _basis_residual_norms(bands, V[:, pair], mu[pair])
+        gain = abs(x) / r * (mu[i + 1] - mu[i]) * np.linalg.norm(
+            _lower_times(bands.mass_one, V[:, pair]), axis=0).max()
         if gain <= e.max():
             V[:, zero], V[:, keep] = (y * V[:, zero] - x * V[:, keep]) / r, \
                 (x * V[:, zero] + y * V[:, keep]) / r
@@ -782,14 +816,15 @@ def _lower_solve(L: np.ndarray, X: np.ndarray, trans: str = "N") -> np.ndarray:
 
 def _inverse_step(P: PencilMatrices, Lam: complex, v: np.ndarray):
     """One inverse-iteration step ``(A - Lam B) x = B v`` at the fixed shift
-    ``Lam``, by a banded LU (half-bandwidth = element order); None when the
-    shifted matrix is exactly singular."""
+    ``Lam``, by a banded LU on the pencil's bands (half-bandwidth = element
+    order); None when the shifted matrix is exactly singular."""
     import scipy.linalg
-    u = P.cap.mesh.element_order
+    Ab, Bb = P.bands.A, P.bands.B
+    u = len(Ab) - 1
     try:
         return scipy.linalg.solve_banded(
-            (u, u), _band(P.A, u) - Lam * _band(P.B, u),
-            _times(P.B, np.ascontiguousarray(v)), check_finite=False)
+            (u, u), _columns(Ab - Lam * Bb),
+            _lower_times(Bb, v), check_finite=False)
     except np.linalg.LinAlgError:
         return None
 
@@ -873,7 +908,7 @@ def line_eigenvalues(spec: SpectrumResult) -> list:
     for cl in clusters:
         lam_mean = float(np.mean([p.Lambda.real for p in cl]))
         eta = float(np.sqrt(max(-lam_mean - 0.25, 0.0)))
-        v = _normalize_one(min(cl, key=lambda p: p.residual).vector, P.mass_one)
+        v = _normalize_one(min(cl, key=lambda p: p.residual).vector, P.bands.mass_one)
         if P.cap is not None:
             p = P.cap.interface_dof
             v *= abs(v[p]) / v[p]
@@ -891,7 +926,7 @@ def jordan_indicator(le: LineEigenvalue) -> float:
     self-product of a weight-one normalized vector, norms by :func:`_norm`);
     values below ``JORDAN_THRESHOLD`` signal a Jordan chain."""
     P = le.pencil
-    return float(abs(le.gram) * _norm(P.mass_one) / _norm(P.B))
+    return float(abs(le.gram) * _norm(P.bands.mass_one) / _norm(P.bands.B))
 
 
 def jordan_chains(P: PencilMatrices, le: LineEigenvalue) -> LineEigenvalue:
@@ -973,13 +1008,12 @@ def _lowest_pair(P: PencilMatrices):
     cap = P.cap
     if cap is None or P.delta != 0 or not cap.material.sigma_minus > 0:
         return None
-    u = cap.mesh.element_order
-    Ab, Bb = _band(P.A, u)[u:], _band(P.B, u)[u:]
+    Ab, Bb = P.bands.A, P.bands.B
     Lam, x = _lowest_ritz_pair(Ab, Bb)
     if x is None:
         return None
-    v = _normalize_one(x, P.mass_one)
-    residual = _backward_error(P.A, P.B, v[:, None], Lam)[0]
+    v = _normalize_one(x, P.bands.mass_one)
+    residual = _backward_error(P, v[:, None], Lam)[0]
     if not (residual < RESIDUAL_TOL and _is_lowest(Ab, Bb, Lam, x)):
         return None
     return EigenPair(complex(Lam), v, float(residual))
@@ -1065,8 +1099,8 @@ def _beta_error(pencil: PencilMatrices, pair: EigenPair) -> float:
     # (Tisseur, LAA 2000); beta = +-Re sqrt(Lambda + 1/4) + const gives
     # |dbeta| <= |dLambda| / (2 |sqrt(Lambda + 1/4)|).
     v, Lam = pair.vector, pair.Lambda
-    Bv = _times(pencil.B, v)
-    r = _times(pencil.A, v) - Lam * Bv
+    Bv = _lower_times(pencil.bands.B, v)
+    r = _lower_times(pencil.bands.A, v) - Lam * Bv
     d_Lambda = np.linalg.norm(r) * np.linalg.norm(v) / abs(v @ Bv)
     return float(d_Lambda / (2.0 * abs(np.sqrt(Lam + 0.25))))
 

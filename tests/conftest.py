@@ -89,8 +89,8 @@ def qz_spectrum(P):
     w, V = scipy.linalg.eig(P.A, P.B)
     finite = np.isfinite(w)
     w = np.where(finite, w, 0.0)
-    V = _normalize_one(V, P.mass_one)
-    res = _backward_error(P.A, P.B, V, w)
+    V = _normalize_one(V, P.bands.mass_one)
+    res = _backward_error(P, V, w)
     keep = finite & (res < RESIDUAL_TOL)
     re = w.real.copy()
     if np.isrealobj(P.A) and np.isrealobj(P.B):

@@ -1,12 +1,15 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import conetip as ct
+from conetip import spectrum
 from conetip.cap import _reference_shapes
-from conetip.errors import CriticalContrastExcluded, InvalidGeometry
+from conetip.errors import CriticalContrastExcluded, DimensionMismatch, InvalidGeometry
 
 
 def test_internal_m0_no_eliminated_dofs(quarter_tip, critical_material):
@@ -178,6 +181,59 @@ def test_assembly_matches_element_loop(geometry):
             assert np.abs(M - R).max() <= 1e-14 * np.abs(R).max()
             assert np.array_equal(M, M.T)
         assert (P.A.dtype == np.float64) == (delta == 0.0)
+
+
+_TRACED_GEOMETRIES = [
+    ct.CapGeometry("internal", np.pi / 4),
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=np.pi / 2, outer_bc="dirichlet"),
+]
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("geometry", _TRACED_GEOMETRIES)
+def test_assembly_and_definite_weights_form_no_dense_matrix(geometry, positive_material):
+    # at N = 256 the pencil is assembled on the band, and a definite pencil's
+    # weight pair is found and certified on it: neither allocates an n x n
+    # float array (n = 511 or 512 dofs, about 2 MB)
+    cap = ct.build_cap(geometry, positive_material, 1, 256, 2)
+    spectrum._weight_spectrum(ct.pencil_for(geometry, positive_material, 1, 16, 2))
+    dense = cap.n_dof ** 2 * 8
+    assert _peak_bytes(lambda: ct.assemble_pencil(cap)) < dense
+    P = ct.assemble_pencil(cap)
+    assert _peak_bytes(lambda: spectrum._weight_spectrum(P)) < dense
+    assert "A" not in vars(P) and "stiffness_one" not in vars(P)
+
+
+def test_dense_matrices_are_formed_once_and_read_only(critical_pencil):
+    P = ct.assemble_pencil(critical_pencil.cap)
+    for name in ("A", "B", "stiffness_one", "mass_one"):
+        M = getattr(P, name)
+        assert getattr(P, name) is M and not M.flags.writeable
+        assert np.array_equal(M, getattr(critical_pencil, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.A = P.B
+
+
+def test_dense_pencil_must_fit_its_band(critical_pencil):
+    # a pencil built from dense arrays is solved from its bands, so they must
+    # hold all of each matrix: symmetric, half-bandwidth the element order
+    P = critical_pencil
+    wide = P.A.copy()
+    wide[0, 3] = wide[3, 0] = 1.0
+    skew = P.B.copy()
+    skew[0, 1] += 1.0
+    for A, B in ((wide, P.B), (P.A, skew)):
+        with pytest.raises(DimensionMismatch):
+            ct.PencilMatrices(A=A, B=B, stiffness_one=P.stiffness_one,
+                              mass_one=P.mass_one, cap=P.cap, delta=0.0)
 
 
 def test_dissipative_pencil_structure(quarter_tip, critical_material):

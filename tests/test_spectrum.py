@@ -54,7 +54,7 @@ def _per_vector_reference(P):
         if not np.isfinite(lam):
             n_rejected += 1
             continue
-        v = _normalize_one(v, P.mass_one)
+        v = _normalize_one(v, P.bands.mass_one)
         res = np.linalg.norm(A @ v - lam * (B @ v)) / (norm_a + abs(lam) * norm_b)
         if res < RESIDUAL_TOL:
             pairs.append((complex(lam), v, float(res)))
@@ -169,7 +169,7 @@ def _assert_basis_contract(P):
     # against the largest mu: a Neumann rim has mu_0 ~ 1e-13); at kappa = 1
     # the pencil is the weight-one pencil, and solve_pencil returns the basis
     K1, M1 = P.stiffness_one, P.mass_one
-    mu, V = spectrum._weight_one_basis(K1, M1, P.cap.mesh.element_order)
+    mu, V = spectrum._weight_one_basis(K1, P.bands.mass_one)
     assert np.linalg.norm(K1 @ V - M1 @ V * mu) <= 1e-12 * np.linalg.norm(K1)
     assert np.abs(V.T @ M1 @ V - np.eye(len(mu))).max() <= 1e-12
     assert np.all(np.diff(mu) >= 0)
@@ -178,7 +178,7 @@ def _assert_basis_contract(P):
     spec = ct.solve_pencil(P)
     assert spec.n_rejected == 0
     assert np.array_equal(spec.Lambdas, mu)
-    W = _normalize_one(V, M1)
+    W = _normalize_one(V, P.bands.mass_one)
     assert all(np.array_equal(p.vector, W[:, j]) for j, p in enumerate(spec.pairs))
 
 
@@ -194,11 +194,30 @@ def test_weight_one_basis_contract_fine(quarter_tip, positive_material):
 
 def test_weight_one_basis_needs_a_definite_mass(quarter_tip, positive_material):
     P = ct.pencil_for(quarter_tip, positive_material, 1, 24, 2)
-    M1 = P.mass_one.copy()
-    M1[5, 5] = -M1[5, 5]
-    for mass in (M1, -P.mass_one):
+    M1 = P.bands.mass_one.copy()
+    M1[0, 5] = -M1[0, 5]
+    for mass in (M1, -P.bands.mass_one):
         with pytest.raises(np.linalg.LinAlgError):
-            spectrum._weight_one_basis(P.stiffness_one, mass, 2)
+            spectrum._weight_one_basis(P.stiffness_one, mass)
+
+
+def test_pencil_rebuilt_from_its_dense_arrays_solves_the_same(quarter_tip):
+    # a cap pencil rebuilt from its own dense arrays gets the same bands, so
+    # the same spectrum, bit for bit: undamped, damped and a definite weight
+    for kappa, delta in ((-0.5, 0.0), (-0.5, 1e-3), (1.0, 0.0)):
+        P = ct.pencil_for(quarter_tip, ct.MaterialSpec.from_contrast(kappa, delta=delta),
+                          1, 48, 2)
+        Q = ct.PencilMatrices(A=P.A, B=P.B, stiffness_one=P.stiffness_one,
+                              mass_one=P.mass_one, cap=P.cap, delta=P.delta)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(P.bands, Q.bands, strict=True))
+        solve = spectrum._weight_spectrum if kappa > 0 else ct.solve_pencil
+        p, q = solve(P), solve(Q)
+        assert p.n_rejected == q.n_rejected and len(p.pairs) == len(q.pairs)
+        assert np.array_equal(p.Lambdas, q.Lambdas)
+        for a, b in zip(p.pairs, q.pairs):
+            assert a.residual == b.residual
+            assert np.array_equal(a.vector, b.vector)
 
 
 def test_solve_pencil_refuses_a_pencil_without_cap():
@@ -260,7 +279,7 @@ def test_vector_does_not_depend_on_the_check(monkeypatch, quarter_tip, critical_
     assert spec.n_rejected == 0
     assert np.array_equal(spec.Lambdas, good.Lambdas)
     pair = spec.pairs[int(np.flatnonzero(spec.Lambdas == Lam)[0])]
-    formed = spectrum._backward_error(P.A, P.B, pair.vector[:, None], pair.Lambda)[0]
+    formed = spectrum._backward_error(P, pair.vector[:, None], pair.Lambda)[0]
     assert pair.residual == formed < 1e-12
     assert all(np.array_equal(p.vector, q.vector) for p, q in zip(spec.pairs, good.pairs))
 
@@ -663,7 +682,7 @@ def test_lowest_pair_certificate_failure_falls_back(monkeypatch, quarter_tip,
                                                     positive_material):
     P = ct.pencil_for(quarter_tip, positive_material, 1, 32, 2)
     spec = ct.solve_pencil(P)
-    Ab, Bb = (spectrum._band(M, 2)[2:] for M in (P.A, P.B))
+    Ab, Bb = P.bands.A, P.bands.B
     first, second = ((p.Lambda.real, p.vector.real.copy()) for p in spec.pairs[:2])
     # the inertia test passes on the lowest pair and fails on the next one,
     # whose residual is as small: an eigenvalue lies below it
@@ -743,7 +762,7 @@ def test_certificate_bounds_the_formed_backward_error():
         P = ct.assemble_dissipative_pencil(cap, delta) if delta else ct.assemble_pencil(cap)
         spec = ct.solve_pencil(P)
         V = np.array([p.vector for p in spec.pairs]).T.copy()
-        formed = spectrum._backward_error(P.A, P.B, V, spec.Lambdas)
+        formed = spectrum._backward_error(P, V, spec.Lambdas)
         residual = np.array([p.residual for p in spec.pairs])
         assert np.all(formed <= residual), (g, kappa, delta, mode, elements)
         assert residual.max() < 1e-11

@@ -34,6 +34,8 @@ CROSSING_RIM = {"kind": "boundary", "alpha": 0.5, "alpha_outer": 0.7, "outer_bc"
 NARROW_RIM = {"kind": "boundary", "alpha": 0.5, "alpha_outer": 0.55, "outer_bc": "neumann"}
 HALF = {"kappa": -0.5}
 N64 = {"elements": 64, "order": 2}
+# order-1 elements: pencils of half-bandwidth 1
+N64_LINEAR = {"elements": 64, "order": 1}
 
 CONFIGS = {
     "spectrum_kappa1_N256": {"subcommand": "spectrum", "geometry": QUARTER,
@@ -73,6 +75,11 @@ CONFIGS = {
     "interval_narrow_rim": {"subcommand": "interval", "geometry": NARROW_RIM,
                             "material": {"kappa": -2.0}, "modes": [0, 1], "mesh": N64,
                             "sweep": {"kappa_range": [-20.0, -1.05]}},
+    "spectrum_order1": {"subcommand": "spectrum", "geometry": QUARTER,
+                        "material": HALF, "mesh": N64_LINEAR},
+    "interval_dirichlet_order1": {"subcommand": "interval", "geometry": DIRICHLET_RIM,
+                                  "material": HALF, "modes": [0, 1, 2],
+                                  "mesh": N64_LINEAR},
 }
 
 
