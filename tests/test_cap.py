@@ -212,14 +212,22 @@ def test_assembly_and_definite_weights_form_no_dense_matrix(geometry, positive_m
     assert "A" not in vars(P) and "stiffness_one" not in vars(P)
 
 
-def test_dense_matrices_are_formed_once_and_read_only(critical_pencil):
-    P = ct.assemble_pencil(critical_pencil.cap)
-    for name in ("A", "B", "stiffness_one", "mass_one"):
-        M = getattr(P, name)
-        assert getattr(P, name) is M and not M.flags.writeable
-        assert np.array_equal(M, getattr(critical_pencil, name))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        P.A = P.B
+@pytest.mark.parametrize("geometry", _TRACED_GEOMETRIES)
+def test_bands_hold_the_dense_matrices(geometry, critical_material):
+    # row k of each band is the k-th subdiagonal and ends in k zeros, also
+    # where an eliminated dof cut couplings off (the column norms read that
+    # padding); the dense matrices are formed from the bands once, read-only
+    for order, mode in itertools.product((1, 2), (0, 1)):
+        P = ct.pencil_for(geometry, critical_material, mode, 12, order)
+        for name, Mb in zip(("A", "B", "stiffness_one", "mass_one"), P.bands, strict=True):
+            assert Mb.shape == (order + 1, P.n) and not Mb.flags.writeable
+            M = getattr(P, name)
+            assert getattr(P, name) is M and not M.flags.writeable
+            for k in range(order + 1):
+                assert np.array_equal(Mb[k, :P.n - k], np.diagonal(M, -k))
+                assert not Mb[k, P.n - k:].any()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            P.A = P.B
 
 
 def test_dense_pencil_must_fit_its_band(critical_pencil):
