@@ -11,29 +11,37 @@ series.  ``aleph`` satisfies ``aleph(a) * aleph(pi - a) = 1`` and equals 1 at
 the half-aperture ``pi/2``.  :func:`scan_interval` finds the same interval as
 the union of the ranges of the per-mode dispersion curves ``kappa_m(eta)``,
 with no fixed sampling of the curves and no tolerance option;
-:func:`has_blackhole` is the check of one contrast that does not rest on the
-interface reduction: it counts the line roots of each mode's secular function
-(``spectrum._line_census``).  At the interval's inner end these roots cut
+:func:`has_blackhole` is the check of one contrast, on the same interface
+reduction: it counts each mode's line eigenvalues as the certified roots of
+``S_minus + kappa S_plus``, the two regions' Schur complements that the
+dispersion curves evaluate (:func:`_line_witnesses`), with no pencil and no
+spectrum.  At the interval's inner end these roots cut
 each curve into pieces that lie on one side of that end, and so bracket
 every fold the scan refines.
 """
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cap import CapGeometry, MaterialSpec, _region_bands, assemble_pencil, build_cap
+from .cap import CapGeometry, _region_bands
 from .errors import (CriticalContrastExcluded, InvalidGeometry, NoTransitionFound,
                      SeriesDomain, SeriesNonconvergent)
-from .spectrum import _line_census
+from .spectrum import _band_cholesky, _certainly_definite, _lower_times
 
+_EPS = np.finfo(float).eps
 SERIES_Z_MAX = 0.99
 SERIES_REL_TOL = 1e-16
 SERIES_MAX_TERMS = 10 ** 6
 ALEPH_ALPHA_GUARD = 0.2
 DEFAULT_MODES = (0, 1, 2, 3, 4)
+# the dispersion relations of a running scan_interval, by (geometry, mode,
+# elements, order), which its has_blackhole call counts on; empty elsewhere
+_BUILT = contextvars.ContextVar("conetip_interval_built", default={})
 CONTRAST_NEIGHBORHOOD_GUARD = 0.02
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
@@ -81,65 +89,325 @@ def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
     after the first witnessing mode (the flag is unaffected, the witness list
     is then partial).
 
-    Each mode's line eigenvalues are counted without a spectrum, as the
-    certified roots of the weight-one secular function on the line
-    (``spectrum._line_census``).  Two roots that meet at a fold within
-    rounding are one witness.  A full spectrum shows the same band as a
-    conjugate pair just off the real axis; at the fold of mode 1 at
+    Each mode's line eigenvalues are counted on the interface reduction of
+    :func:`dispersion_relation`, with no pencil and no spectrum: they are the
+    certified roots ``Lambda = -1/4 - eta^2`` of
+    ``S_minus(Lambda) + kappa S_plus(Lambda)``, the two regions' Schur
+    complements (:func:`_line_witnesses`).  Two roots that meet at a fold
+    within rounding are one witness.  A full spectrum shows the same band as
+    a conjugate pair just off the real axis; at the fold of mode 1 at
     ``alpha = pi/4``, N = 96, it lies 1.07e-6 (relative) off it, beyond
     ``LINE_TOL``, so ``line_eigenvalues`` drops the pair as complex while
-    the census counts one witness."""
+    the census counts one witness.  A contrast where the two regions' mass
+    Schur complements balance (the census has no far end there) raises
+    :class:`~conetip.errors.CriticalContrastExcluded`.  Called from
+    :func:`scan_interval`, it counts on the region sides that the scan's
+    dispersion curves already built."""
     if kappa >= 0:
         raise CriticalContrastExcluded("contrast must be negative")
-    material = MaterialSpec.from_contrast(kappa)
-    witnesses = []
+    built, witnesses = _BUILT.get(), []
     for m in modes:
-        P = assemble_pencil(build_cap(geometry, material, m, elements, order))
-        witnesses += [(m, float(eta)) for eta in _line_census(P)]
+        relation = built.get((geometry, m, elements, order)) \
+            or dispersion_relation(geometry, m, elements, order)
+        witnesses += [(m, float(eta)) for eta in _line_witnesses(relation, kappa)]
         if witnesses and stop_at_first:
             break
     return len(witnesses) > 0, witnesses
 
 
-def _interface_schur(A, B, face):
-    """``Lambda -> (S, b)`` of one region, from its matrices in lower band
-    storage (half-bandwidth ``u``) with the interface dof first (``face = 0``)
-    or last (``face = -1``): ``S = phi^T (A - Lambda B) phi`` and
-    ``b = phi^T B phi`` for ``phi`` the unit interface value extended by one
-    solve of the interior rows.  The interior block ``A - Lambda B`` is
-    positive definite for every ``Lambda <= -1/4``, so it is solved by
-    LAPACK's banded Cholesky ``pbsv`` on its lower band; a nonzero ``info``
-    raises :class:`numpy.linalg.LinAlgError`."""
-    u, m = len(A) - 1, A.shape[1]
-    k = np.arange(1, min(u, m - 1) + 1)
-    # the interior's band and its coupling column to the face, with its zeros
-    if face == 0:
-        A_low, B_low = A[:, 1:], B[:, 1:]
-        at = k - 1
-        a_k, b_k = A[k, 0], B[k, 0]
-    else:
-        A_low, B_low = A[:, :-1].copy(), B[:, :-1].copy()
-        at = m - 1 - k
-        a_k, b_k = A[k, at], B[k, at]
-        A_low[k, at] = B_low[k, at] = 0.0
-    a, b = np.zeros(m - 1), np.zeros(m - 1)
-    a[at], b[at] = a_k, b_k
-    A_ff, B_ff = A[0, face], B[0, face]
-    import scipy.linalg
-    pbsv, = scipy.linalg.get_lapack_funcs(("pbsv",), (A_low,))
+class _Side:
+    """One region's block reduced to its interface dof, from its matrices in
+    lower band storage (half-bandwidth ``u``) with the interface dof first
+    (``face = 0``) or last (``face = -1``): called at ``Lambda``, it returns
+    ``S = phi^T (A - Lambda B) phi`` and ``b = phi^T B phi = -S'`` for
+    ``phi`` the unit interface value extended by one solve of the interior
+    rows.  The interior block ``K = A - Lambda B`` is positive definite for
+    every ``Lambda <= -1/4``, so it is solved by LAPACK's banded Cholesky
+    ``pbsv`` on its lower band; a nonzero ``info`` raises
+    :class:`numpy.linalg.LinAlgError`.
 
-    def schur(Lam):
-        f = a - Lam * b
-        _, x, info = pbsv(A_low - Lam * B_low, -f, lower=1,
-                          overwrite_ab=1, overwrite_b=1)
+    In the interior eigenbasis ``S = L(Lambda) - sum_j r_j^2 / (nu_j - Lambda)``
+    with ``L`` affine and every ``nu_j > -1/4``, so on ``Lambda <= -1/4``
+    ``S`` is decreasing and concave and ``b`` increasing."""
+
+    def __init__(self, A, B, face):
+        u, m = len(A) - 1, A.shape[1]
+        k = np.arange(1, min(u, m - 1) + 1)
+        # the interior's band and its coupling column to the face, with its zeros
+        if face == 0:
+            A_in, B_in = A[:, 1:], B[:, 1:]
+            at = k - 1
+            a_k, b_k = A[k, 0], B[k, 0]
+        else:
+            A_in, B_in = A[:, :-1].copy(), B[:, :-1].copy()
+            at = m - 1 - k
+            a_k, b_k = A[k, at], B[k, at]
+            A_in[k, at] = B_in[k, at] = 0.0
+        self.A_in, self.B_in = A_in, B_in
+        self.a, self.b = np.zeros(m - 1), np.zeros(m - 1)
+        self.a[at], self.b[at] = a_k, b_k
+        self.A_ff, self.B_ff = A[0, face], B[0, face]
+        self._norms = (A_in[0].max(), B_in[0].max(),
+                       np.sqrt(self.a @ self.a), np.sqrt(self.b @ self.b))
+        import scipy.linalg
+        self._pbsv, = scipy.linalg.get_lapack_funcs(("pbsv",), (A_in,))
+
+    def _solve(self, Lam):
+        f = self.a - Lam * self.b
+        _, x, info = self._pbsv(self.A_in - Lam * self.B_in, -f, lower=1,
+                                overwrite_ab=1, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"interior block not positive definite (info {info})")
-        # x^T B x over the lower band, each off-diagonal entry twice
-        xBx = B_low[0] @ (x * x) + 2.0 * sum(B_low[d, :-d] @ (x[:-d] * x[d:])
-                                               for d in range(1, u + 1))
-        return A_ff - Lam * B_ff + f @ x, B_ff + 2.0 * (b @ x) + xBx
+        return f, x
 
-    return schur
+    def __call__(self, Lam):
+        f, x = self._solve(Lam)
+        return (self.A_ff - Lam * self.B_ff + f @ x,
+                self.B_ff + 2.0 * (self.b @ x) + _quadratic(self.B_in, x))
+
+    def bounded(self, Lam, inverse_norm):
+        """``(S, b, e_S, e_b)``: the values of a call and bounds on their
+        rounding errors, to first order, given ``inverse_norm``
+        ``>= ||K(Lambda)^-1||_2`` (:meth:`inverse_norm`).
+
+        The banded Cholesky solve is backward stable: the computed ``x``
+        solves ``(K + dK) x = -f`` with ``|dK| <= gamma_{3u+4} |R^T| |R|``
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        2002, Thm. 10.4, with the band's ``u + 1`` terms per inner product
+        for ``n``), plus one rounding of forming ``K`` from ``A`` and ``B``.
+        Both blocks are semidefinite, so every entry is below
+        ``(3u + 5) eps sqrt(d_i d_j)``, ``d`` the diagonal of ``K``, and a row
+        of ``2u + 1`` of them gives ``||dK||_2 <= (3u + 5) (2u + 1) eps max d``.
+        ``S`` moves by ``x^T dK x`` (``f^T K^-1 = -x^T``), at most
+        ``(3u + 5) (2u + 1) eps sum d_i x_i^2``; ``b`` moves by ``2 w^T dx``
+        with ``w`` the interior rows of ``B phi`` and
+        ``||dx|| <= ||K^-1|| (||dK|| ||x|| + ||df||)``.  The roundings of
+        ``f`` and of the sums that form ``S`` and ``b`` are added."""
+        f, x = self._solve(Lam)
+        u, n = len(self.A_in) - 1, len(x)
+        xx = x * x
+        A_xx, B_xx = self.A_in[0] @ xx, self.B_in[0] @ xx
+        S = self.A_ff - Lam * self.B_ff + f @ x
+        b = self.B_ff + 2.0 * (self.b @ x) + _quadratic(self.B_in, x)
+        grow = (3 * u + 5) * (2 * u + 1) * _EPS
+        # sum d_i x_i^2 and max d, d = A_ii - Lambda B_ii; ||f|| and
+        # ||B|| <= (2u + 1) max B_ii bound ||w|| <= ||b|| + ||B|| ||x||
+        x_norm, (A_max, B_max, a_norm, b_norm) = np.sqrt(xx.sum()), self._norms
+        f_norm = a_norm + abs(Lam) * b_norm
+        e_S = (grow * (A_xx - Lam * B_xx) + (u + 3) * _EPS * f_norm * x_norm
+               + 3.0 * _EPS * (self.A_ff + abs(Lam) * self.B_ff))
+        w_norm = b_norm + (2 * u + 1) * B_max * x_norm
+        dx = inverse_norm * (grow * (A_max - Lam * B_max) * x_norm + _EPS * f_norm)
+        e_b = 2.0 * w_norm * dx + (n + 3) * _EPS * (
+            self.B_ff + 2.0 * b_norm * x_norm + (2 * u + 1) * B_xx)
+        return S, b, e_S, e_b
+
+    def inverse_norm(self):
+        """An upper bound on ``||K(Lambda)^-1||_2`` for every
+        ``Lambda <= -1/4``: ``K(Lambda) = K(-1/4) + (-1/4 - Lambda) B`` only
+        grows, so it is ``1 / s`` for ``s`` below the smallest eigenvalue of
+        ``K(-1/4)``.  Four inverse-iteration steps give its Rayleigh quotient
+        ``theta``; ``s = theta / 2`` is divided by 4 until a banded Cholesky
+        certifies ``K(-1/4) - s I`` positive definite
+        (:func:`~conetip.spectrum._certainly_definite`)."""
+        from scipy.linalg import lapack
+        K = self.A_in + 0.25 * self.B_in
+        L = _band_cholesky(K)
+        x = np.ones(K.shape[1])
+        for _ in range(4):
+            x = lapack.dpbtrs(L, x, lower=1)[0]
+            x /= np.linalg.norm(x)
+        s = 0.5 * (x @ _lower_times(K, x))
+        while s > 0.0:
+            H = K.copy()
+            H[0] -= s
+            if _certainly_definite(H, K[0]):
+                return 1.0 / s
+            s *= 0.25
+        raise np.linalg.LinAlgError("interior block not positive definite")
+
+    def extension(self):
+        """``(p, m)`` of the interface value extended by one solve of the
+        interior *mass* rows, ``psi``: ``p = psi^T A psi`` and
+        ``m = psi^T B psi``, the least ``phi^T B phi`` over every extension.
+        Then ``L(Lambda) = p - Lambda m >= S(Lambda)``, and ``L - S`` is
+        nondecreasing in ``Lambda``, its derivative being ``b - m >= 0``."""
+        _, y, info = self._pbsv(self.B_in, -self.b, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"interior mass not positive definite (info {info})")
+        return (self.A_ff + 2.0 * (self.a @ y) + _quadratic(self.A_in, y),
+                self.B_ff + 2.0 * (self.b @ y) + _quadratic(self.B_in, y))
+
+
+def _quadratic(Mb, x):
+    """``x^T M x`` over the lower band storage ``Mb``, each off-diagonal entry
+    twice."""
+    return Mb[0] @ (x * x) + 2.0 * sum(Mb[d, :-d] @ (x[:-d] * x[d:])
+                                       for d in range(1, len(Mb)))
+
+
+class _Point(NamedTuple):
+    """The census's values at one ``Lambda``: ``F = S_minus + kappa S_plus``
+    with its rounding bound, each side's ``b``, ``F' = -(b_minus + kappa
+    b_plus)`` with its rounding bound, and each side's gap ``L - S`` to its
+    affine bound (:meth:`_Side.extension`), rounding included."""
+
+    Lam: float
+    F: float
+    e_F: float
+    S_minus: float
+    S_plus: float
+    b_minus: float
+    b_plus: float
+    slope: float
+    e_slope: float
+    gap_minus: float
+    gap_plus: float
+
+
+def _split(a, c):
+    """Split point of ``[a, c]`` on ``Lambda < 0``: the geometric mean when
+    one end is 16 times farther from 0 than the other, else the midpoint."""
+    return -np.sqrt(a * c) if a < 16.0 * c else 0.5 * (a + c)
+
+
+def _triangle(t_a, s, t_c):
+    """Height, over the chord of slope ``s`` and per unit width, of the
+    triangle between the chord and the end tangents of slopes ``t_a`` and
+    ``t_c`` of a convex or concave function (``s`` clamped between them)."""
+    lo, hi = min(t_a, t_c), max(t_a, t_c)
+    if not hi > lo:
+        return 0.0
+    s = min(max(s, lo), hi)
+    return (s - lo) * (hi - s) / (hi - lo)
+
+
+def _line_witnesses(relation, kappa: float) -> np.ndarray:
+    """Ascending ``eta`` of the energy-line eigenvalues of one mode at the
+    contrast ``kappa < 0``, from the two sides of its dispersion relation
+    (``relation.sides``, :class:`_Side`): the roots ``Lambda = -1/4 - eta^2``
+    of ``F = S_minus + kappa S_plus`` on ``Lambda <= -1/4``.
+
+    *Enclosure.*  On a piece ``[a, c]``, ``S_minus`` is concave and
+    ``kappa S_plus`` convex, so each lies between its chord and the chord
+    moved by the height of the triangle its end tangents make with it
+    (:func:`_triangle`); ``b_minus`` and ``b_plus`` are increasing, so their
+    end values enclose ``F'``.  And each side's gap ``g = L - S`` to its affine
+    bound is nondecreasing and ``>= 0``, so it lies in ``[0, g(c)]`` on the
+    piece: ``F`` lies within ``[-g_minus(c), |kappa| g_plus(c)]`` of the
+    affine part ``L_minus + kappa L_plus``.  ``F`` is enclosed by the tighter
+    of the two, and both enclosures are widened by the rounding bounds of
+    :meth:`_Side.bounded` and of the affine part.
+
+    *Far end.*  The affine part has the slope ``-(m_minus + kappa m_plus)``,
+    so the gaps at ``-1/4`` bound the distance beyond which ``F`` has no
+    root.  The ray is cut at twice that distance from 0.  A contrast where
+    the slope vanishes within its rounding has no such end and raises
+    :class:`~conetip.errors.CriticalContrastExcluded`.
+
+    *Search.*  As :func:`~conetip.spectrum._certified_roots` searches the
+    secular function: a piece is dropped when its enclosure excludes 0, kept
+    as a root when ``F'`` keeps one sign and ``F`` changes sign at its ends,
+    and split otherwise (geometrically in the distance to 0 when one end is
+    16 times farther).  A piece where ``F'`` may vanish and the ``F``
+    enclosure is within twice its rounding is a fold, where two roots meet
+    within rounding; touching folds form one band, counted once, unless
+    ``F`` lies on its extremum's side of 0 at both ends of the band (the two
+    roots are then the sign changes outside it).  Roots are polished by
+    Newton steps inside their brackets, from the chord's root, until ``F``
+    or the step is within rounding, and then by one more step: the rounding
+    bound is a worst case, so the last value is usually far below it."""
+    sides, k = relation.sides, -kappa
+    norms = [side.inverse_norm() for side in sides]
+    (p_m, m_m), (p_p, m_p) = (side.extension() for side in sides)
+    affine, flat = p_m + kappa * p_p, m_m + kappa * m_p
+    # the rounding of p and m, relative, as of any sum of n terms
+    e_affine = sum(len(side.b) + 3 for side in sides) * _EPS
+    if abs(flat) <= e_affine * (m_m + k * m_p):
+        raise CriticalContrastExcluded(
+            f"kappa={kappa}: the mass Schur complements balance, so the line "
+            "census has no far end")
+
+    def point(Lam):
+        (s_m, b_m, e_m, d_m), (s_p, b_p, e_p, d_p) = (
+            side.bounded(Lam, c) for side, c in zip(sides, norms))
+        e_L = e_affine * (abs(p_m) + abs(Lam) * m_m), e_affine * (abs(p_p) + abs(Lam) * m_p)
+        return _Point(Lam, s_m + kappa * s_p, e_m + k * e_p, s_m, s_p, b_m, b_p, k * b_p - b_m,
+                      d_m + k * d_p, p_m - Lam * m_m - s_m + e_m + e_L[0],
+                      p_p - Lam * m_p - s_p + e_p + e_L[1])
+
+    near = point(-0.25)
+    if flat > 0.0:
+        far = (near.gap_minus - affine) / flat
+    else:
+        far = (affine + k * near.gap_plus) / -flat
+    if not far > 0.25:
+        return np.empty(0)
+
+    roots, folds, pieces = [], [], [(point(-2.0 * far), near)]
+    while pieces:
+        pa, pc = pieces.pop()
+        a, c = pa.Lam, pc.Lam
+        w = c - a
+        up = w * _triangle(-pa.b_minus, (pc.S_minus - pa.S_minus) / w, -pc.b_minus)
+        down = w * _triangle(k * pa.b_plus, -k * (pc.S_plus - pa.S_plus) / w, k * pc.b_plus)
+        # the rounding of the end values, and through the slopes of the triangles
+        e = pa.e_F + pc.e_F + w * (pa.e_slope + pc.e_slope)
+        lo, hi = min(pa.F, pc.F) - down, max(pa.F, pc.F) + up
+        aff_a, aff_c = affine - a * flat, affine - c * flat
+        if max(lo - e, min(aff_a, aff_c) - pc.gap_minus) > 0.0 \
+                or min(hi + e, max(aff_a, aff_c) + k * pc.gap_plus) < 0.0:
+            continue
+        e_slope = max(pa.e_slope, pc.e_slope)
+        if k * pa.b_plus - pc.b_minus - e_slope > 0.0 \
+                or k * pc.b_plus - pa.b_minus + e_slope < 0.0:
+            if (pa.F > 0.0) != (pc.F > 0.0):
+                roots.append((pa, pc))
+            continue
+        m = _split(a, c)
+        if hi - lo <= 2.0 * e or not a < m < c:
+            folds.append((pa, pc))
+        else:
+            pm = point(m)
+            pieces += [(pa, pm), (pm, pc)]
+
+    found = []
+    bands = []
+    for pa, pc in sorted(folds, key=lambda piece: piece[0].Lam):
+        if bands and bands[-1][1].Lam == pa.Lam:
+            bands[-1][1] = pc
+        else:
+            bands.append([pa, pc])
+    for pa, pc in bands:
+        peak = pa.slope > pc.slope        # F' falls across the band: a maximum
+        if (pa.F > 0.0) == peak and (pc.F > 0.0) == peak:
+            continue
+        # the fold is where F' vanishes: its chord's root, or the middle
+        a, c = pa.Lam, pc.Lam
+        x = a - pa.slope * (c - a) / (pc.slope - pa.slope) if pc.slope != pa.slope else a
+        found.append(x if a < x < c else 0.5 * (a + c))
+    for pa, pc in roots:
+        a, c, above = pa.Lam, pc.Lam, pa.F > 0.0
+        x, step = a - pa.F * (c - a) / (pc.F - pa.F), np.inf
+        if not a < x < c:
+            x = 0.5 * (a + c)
+        while True:
+            px = point(x)
+            a, c = (x, c) if (px.F > 0.0) == above else (a, x)
+            dx = -px.F / px.slope
+            xn = x + dx
+            if abs(px.F) <= px.e_F or abs(dx) <= 2.0 * _EPS * abs(x):
+                # within rounding: one last step, which costs no evaluation
+                x = xn if a <= xn <= c else x
+                break
+            # Newton inside the bracket, or a split where it leaves it or stalls
+            if not (a < xn < c and abs(dx) <= 0.5 * step):
+                xn = _split(a, c)
+            if not a < xn < c:
+                break
+            step, x = abs(xn - x), xn
+        found.append(x)
+    return np.sqrt(np.sort(-0.25 - np.array(found, dtype=float)))
 
 
 def dispersion_relation(geometry: CapGeometry, mode: int, elements: int = 64,
@@ -158,8 +426,8 @@ def dispersion_relation(geometry: CapGeometry, mode: int, elements: int = 64,
     p, ((A_minus, B_minus), (A_plus, B_plus)) = _region_bands(
         geometry, mode, elements, order)
     # each region's block: the minus one on dofs [0, p], the plus one on [p, n)
-    sides = [_interface_schur(A_minus[:, :p + 1], B_minus[:, :p + 1], -1),
-             _interface_schur(A_plus[:, p:], B_plus[:, p:], 0)]
+    sides = (_Side(A_minus[:, :p + 1], B_minus[:, :p + 1], -1),
+             _Side(A_plus[:, p:], B_plus[:, p:], 0))
 
     def relation(eta):
         (s_minus, b_minus), (s_plus, b_plus) = (side(-0.25 - eta * eta)
@@ -167,6 +435,7 @@ def dispersion_relation(geometry: CapGeometry, mode: int, elements: int = 64,
         kappa = -s_minus / s_plus
         return float(kappa), float(b_minus + kappa * b_plus)
 
+    relation.sides = sides      # what the line census of a contrast reads
     return relation
 
 
@@ -240,11 +509,18 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
             return seen[-1]
         return evaluate
 
-    relations = [traced(dispersion_relation(geometry, m, elements, order)) for m in modes]
+    curves = [dispersion_relation(geometry, m, elements, order) for m in modes]
+    relations = [traced(relation) for relation in curves]
     ends = [(relation(0.0), relation(eta_max)) for relation in relations]
     y_inner = min(far * kappa for end in ends for kappa, _ in end)
     endpoint_inner = float(np.clip(far * y_inner, lo, hi))
-    _, inner_wit = has_blackhole(geometry, endpoint_inner, modes, elements, order)
+    # has_blackhole counts on the sides the curves already built
+    token = _BUILT.set({(geometry, m, elements, order): relation
+                        for m, relation in zip(modes, curves)})
+    try:
+        _, inner_wit = has_blackhole(geometry, endpoint_inner, modes, elements, order)
+    finally:
+        _BUILT.reset(token)
     per_mode = {m: sorted(eta for (mm, eta) in inner_wit if mm == m) for m in modes}
 
     def curve_outer(m, relation, start, stop):

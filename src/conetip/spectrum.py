@@ -18,11 +18,11 @@ eigenvalues with real ``Lambda < -1/4`` sit on the energy line
 ``Re(lambda) = -1/2`` and generate propagating (black-hole) singularities.
 At such a ``Lambda`` both region blocks are definite on their interior dofs,
 so a kernel vector is fixed by its interface value and each line eigenvalue
-has exactly one eigenvector.  This module detects line eigenvalues (on a
-solved spectrum, or counted from the secular function alone by
-:func:`_line_census`), grows a Jordan chain above the eigenvector when its
-sigma-weighted self-product ``phi^T B phi`` vanishes (a fold of the
-dispersion relation, where the Krein sign changes), and derives radial
+has exactly one eigenvector.  This module detects line eigenvalues on a
+solved spectrum (``conetip.interval.has_blackhole`` counts them from the
+region Schur complements instead), grows a Jordan chain above the
+eigenvector when its sigma-weighted self-product ``phi^T B phi`` vanishes (a
+fold of the dispersion relation, where the Krein sign changes), and derives radial
 weight exponents from the spectrum right of the line; for a definite
 pencil (both coefficients positive, no dissipation) that is its lowest
 eigenpair alone, found and certified on the band (:func:`_lowest_pair`).
@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cap import PencilMatrices, _from_bands
-from .errors import DimensionMismatch, NotApplicableDissipative
+from .errors import DimensionMismatch
 
 RESIDUAL_TOL = 1e-8
 LINE_TOL = 1e-6
@@ -475,13 +475,13 @@ def _secular_roots(mu, c, target, start=None) -> np.ndarray:
             z0 = np.delete(z0, np.argmin(np.abs(z0 - m)))
         on_pole = np.isin(z0, mu)
         z0[on_pole] += 1j * np.sqrt(_EPS) * np.maximum(np.abs(z0[on_pole]), 1.0)
-        out[len(out) - len(mu):] = _aberth(mu, c, target, z0, np.empty(0), False)
+        out[len(out) - len(mu):], _ = _aberth(mu, c, target, z0, np.empty(0), False)
         return out
     real, bands = _real_roots(mu, c, target)
     k = len(out) - len(mu)
     out[k:k + len(real)] = real
-    z = _aberth(mu, c, target, _pair_starts(mu, c, target, real, bands,
-                                            (len(mu) - len(real)) // 2), real, True)
+    z, _ = _aberth(mu, c, target, _pair_starts(mu, c, target, real, bands,
+                                               (len(mu) - len(real)) // 2), real, True)
     pairs = out[k + len(real):]
     pairs[:2 * len(z):2], pairs[1:2 * len(z):2] = z, np.conj(z)
     pairs[2 * len(z):] = np.nan
@@ -495,7 +495,7 @@ def _real_roots(mu, c, target):
 
     The axis is cut at the poles, and :func:`_certified_roots` searches each
     pole gap and the two outer rays (the left ray from 32 pieces geometric in
-    the distance to ``mu_0``, as :func:`_line_census`).  No root lies within
+    the distance to ``mu_0``).  No root lies within
     ``rho_i = |c_i| / (2 S_i + |target|) / 2`` of ``mu_i``,
     ``S_i = sum_{k != i} |c_k| / |mu_k - mu_i|`` (there the pole's term
     outweighs the rest, within half the distance to the next pole), nor
@@ -693,50 +693,35 @@ def _aberth(mu, c, target, z, fixed, mirror):
     """Aberth-Ehrlich sweeps on the roots ``z`` of the polynomial
     ``(h(x) - target) prod_i (mu_i - x)``, ``h = sum_i c_i / (mu_i - x)``,
     with the roots ``fixed`` (and, when ``mirror``, the conjugates of ``z``)
-    held in the sums; every root moves at once, until its correction is
-    below rounding.  Mirrored roots stay in the upper half-plane."""
+    held in the sums; every root moves at once, and stops after the sweep in
+    which its correction is below rounding or ``h - target`` is within its
+    rounding bound, ``4 n eps`` times the summed magnitudes (the rule of the
+    Newton polish of :func:`_certified_roots`): the correction of a
+    converged root carries the rounding of n terms, so it may never fall
+    below ``2 eps |z|``.
+    Mirrored roots stay in the upper half-plane.  Returns the roots and the
+    number of sweeps made."""
     z = np.array(z, dtype=complex)
     live = np.arange(len(z))
-    for _ in range(_ABERTH_SWEEPS):
-        if not len(live):
-            break
+    widen, c_abs = 4.0 * len(c) * _EPS, np.abs(c)
+    sweeps = 0
+    while len(live) and sweeps < _ABERTH_SWEEPS:
+        sweeps += 1
         zl = z[live]
         others = np.concatenate([fixed, z, np.conj(z)] if mirror else [fixed, z])
         with np.errstate(divide="ignore", invalid="ignore"):
             q = 1.0 / (mu - zl[:, None])
             R = 1.0 / (zl[:, None] - others)
             R[~np.isfinite(R)] = 0.0               # the root itself
-            corr = 1.0 / ((q * q) @ c / (q @ c - target) - q.sum(axis=1) - R.sum(axis=1))
+            r = q @ c - target
+            corr = 1.0 / ((q * q) @ c / r - q.sum(axis=1) - R.sum(axis=1))
+            done = np.abs(r) <= widen * (np.abs(q) @ c_abs + abs(target))
         ok = np.isfinite(corr)
         z[live[ok]] = zl[ok] - corr[ok]
         if mirror:
             z.imag = np.abs(z.imag)
-        live = live[ok & (np.abs(corr) > 2.0 * _EPS * np.abs(zl))]
-    return z
-
-
-def _line_census(P: PencilMatrices) -> np.ndarray:
-    """Ascending ``eta`` of the energy-line eigenvalues of an undamped cap
-    pencil, from its secular function alone (no eigensolve, no vectors).
-
-    They are the real roots ``Lambda = -1/4 - eta^2`` below ``-1/4`` of the
-    secular function of :func:`_secular_roots`, found as :func:`_real_roots`
-    finds them on the left ray, with the ray cut at ``-1/4``: the weight-one
-    eigenvalues are ``mu_i >= 0``, so no pole lies on the line, and each fold
-    band, where two roots meet within rounding, counts as one ``eta``.  At
-    ``kappa = 1`` (``w = 0``) there is no root."""
-    if P.delta != 0:
-        raise NotApplicableDissipative("pencil carries dissipation")
-    S = _secular_terms(P)
-    c = S.u * S.w
-    live = c != 0
-    mu, c, target = S.mu[live], c[live], -1.0 / S.gamma
-    if not len(mu):
-        return np.empty(0)
-    a, b = _left_ray(mu[0], np.abs(c).sum() / abs(target), -0.25)
-    roots, bands = _certified_roots(-c, -mu, target, a, b,
-                                    np.full(len(a), -np.inf), np.full(len(a), mu[0]))
-    return np.sqrt(np.sort(-0.25 - np.concatenate([roots, bands])))
+        live = live[ok & ~done & (np.abs(corr) > 2.0 * _EPS * np.abs(zl))]
+    return z, sweeps
 
 
 def _weight_one_basis(K1: np.ndarray, M1b: np.ndarray):
@@ -1077,7 +1062,6 @@ def _is_lowest(Ab, Bb, Lam, x) -> bool:
     ``x`` is the lowest eigenvector.  The lowest eigenvalue does not exceed
     the Rayleigh quotient ``Lam``, so a pass puts it in ``(sigma, Lam]``."""
     from scipy.linalg import lapack
-    u = len(Ab) - 1
     Ax, Bx = _lower_times(Ab, x), _lower_times(Bb, x)
     xBx = x @ Bx
     r = Ax - Lam * Bx
@@ -1085,11 +1069,32 @@ def _is_lowest(Ab, Bb, Lam, x) -> bool:
     if LB is None:
         return False
     rho = np.sqrt(abs(r @ lapack.dpbtrs(LB, r, lower=1)[0]) / xBx)
-    c = 2.0 * (2 * u + 1) * (u + 5) * _EPS
-    delta = 4.0 * c * ((x * x) @ (Ab[0] + abs(Lam) * Bb[0])) / xBx
+    delta = 4.0 * _definite_margin(Ab) * ((x * x) @ (Ab[0] + abs(Lam) * Bb[0])) / xBx
     sigma = Lam - rho - delta
-    H = Ab - sigma * Bb
-    H[0] -= c * (Ab[0] + abs(sigma) * Bb[0])
+    return _certainly_definite(Ab - sigma * Bb, Ab[0] + abs(sigma) * Bb[0])
+
+
+def _definite_margin(Hb) -> float:
+    """``c = 2 (2u + 1) (u + 5) eps`` of :func:`_certainly_definite`, for the
+    half-bandwidth ``u`` of the lower band storage ``Hb``."""
+    u = len(Hb) - 1
+    return 2.0 * (2 * u + 1) * (u + 5) * _EPS
+
+
+def _certainly_definite(Hb, D) -> bool:
+    """Whether the symmetric matrix ``H`` of lower band storage ``Hb`` is
+    positive definite, by one banded Cholesky of ``H - c diag(D)``
+    (:func:`_definite_margin`), given ``|H_ij| <= sqrt(D_i D_j)``.
+
+    A factorization that runs to completion is exact for a matrix within
+    ``(u + 5) eps sqrt(D_i D_j)`` of it entrywise: the backward error of the
+    band factorization, ``gamma_{u+2} |L||L^T|`` (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, ch. 10), and of forming
+    the shifted matrix.  A band of ``2u + 1`` such entries is below
+    ``(2u + 1) (u + 5) eps D`` in the Loewner order, half of ``c D``, so
+    ``H`` itself is then positive definite."""
+    H = np.array(Hb)
+    H[0] -= _definite_margin(Hb) * D
     return _band_cholesky(H) is not None
 
 

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 import conetip as ct
-from conetip.spectrum import RESIDUAL_TOL, _backward_error, _normalize_one
+from conetip.spectrum import (RESIDUAL_TOL, _backward_error, _certified_roots, _left_ray,
+                              _normalize_one, _secular_terms)
 
 
 @pytest.fixture(scope="session")
@@ -104,12 +105,44 @@ def qz_spectrum(P):
 
 def full_spectrum_witnesses(geometry, kappa, modes, elements=64, order=2):
     """``(mode, eta)`` of every line eigenvalue of the full spectrum, by
-    ``line_eigenvalues(solve_pencil(P))`` per mode: the oracle of the
-    secular-function census behind ``has_blackhole``, which solves no
-    spectrum."""
+    ``line_eigenvalues(solve_pencil(P))`` per mode: an oracle of the line
+    census behind ``has_blackhole``, which builds no pencil and solves no
+    spectrum.  A fold band, which the census counts once, is a conjugate
+    pair here, two line eigenvalues within ``LINE_TOL`` of the axis and none
+    beyond it."""
     mat = ct.MaterialSpec.from_contrast(kappa)
     return [(m, le.eta) for m in modes for le in ct.line_eigenvalues(
         ct.solve_pencil(ct.pencil_for(geometry, mat, m, elements, order)))]
+
+
+def _line_census(P):
+    """Ascending ``eta`` of the energy-line eigenvalues of an undamped cap
+    pencil, from its weight-one secular function alone: the other oracle of
+    ``has_blackhole``'s census, on the pencil and its weight-one eigenbasis.
+
+    They are the real roots ``Lambda = -1/4 - eta^2`` below ``-1/4`` of the
+    secular function of ``spectrum._secular_roots``, found as
+    ``spectrum._real_roots`` finds them on the left ray, with the ray cut at
+    ``-1/4``: the weight-one eigenvalues are ``mu_i >= 0``, so no pole lies
+    on the line, and each fold band, where two roots meet within rounding,
+    counts as one ``eta``.  At ``kappa = 1`` (``w = 0``) there is no root."""
+    S = _secular_terms(P)
+    c = S.u * S.w
+    live = c != 0
+    mu, c, target = S.mu[live], c[live], -1.0 / S.gamma
+    if not len(mu):
+        return np.empty(0)
+    a, b = _left_ray(mu[0], np.abs(c).sum() / abs(target), -0.25)
+    roots, bands = _certified_roots(-c, -mu, target, a, b,
+                                    np.full(len(a), -np.inf), np.full(len(a), mu[0]))
+    return np.sqrt(np.sort(-0.25 - np.concatenate([roots, bands])))
+
+
+def secular_witnesses(geometry, kappa, modes, elements=64, order=2):
+    """``(mode, eta)`` of :func:`_line_census` per mode."""
+    mat = ct.MaterialSpec.from_contrast(kappa)
+    return [(m, float(eta)) for m in modes for eta in _line_census(
+        ct.pencil_for(geometry, mat, m, elements, order))]
 
 
 def defective_pencil(eta=1.0):

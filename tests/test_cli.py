@@ -411,7 +411,8 @@ def test_decisions_do_not_depend_on_blas_threads(tmp_path):
     # beta_star, the outgoing count and the members, the witness count per
     # mode, the attaining mode and flags, and the selected branches and mode;
     # the values agree to rounding level; the kappa = 1 weights, read from
-    # each mode's lowest pair, are byte-identical
+    # each mode's lowest pair, and interval.json, whose curves and line
+    # census use banded Cholesky solves alone, are byte-identical
     cfg_dir = tmp_path / "configs"
     cfg_dir.mkdir()
     for sub in ("spectrum", "weights", "basis", "interval", "trajectory"):
@@ -427,8 +428,13 @@ def test_decisions_do_not_depend_on_blas_threads(tmp_path):
         (cfg_dir / f"{name}.json").write_text(json.dumps({
             "subcommand": "weights", "geometry": geometry, "material": {"kappa": 1.0},
             "modes": [0, 1, 2], "mesh": {"elements": 128, "order": 2}}))
+    # at N = 128 the census's former dense weight-one basis made the
+    # witnesses' eta differ in their last digits
+    (cfg_dir / "interval_N128.json").write_text(json.dumps({
+        "subcommand": "interval", "geometry": {"kind": "internal", "alpha": 0.9},
+        "modes": [0, 1, 2, 3, 4], "mesh": {"elements": 128, "order": 2}}))
     src = pathlib.Path(ct.__file__).resolve().parents[1]
-    runs, weights = [], []
+    runs, weights, intervals = [], [], []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -437,7 +443,10 @@ def test_decisions_do_not_depend_on_blas_threads(tmp_path):
                        check=True, capture_output=True, env=env, timeout=300)
         runs.append(_read_decision_outputs(out))
         weights.append([(out / name / "weights.json").read_bytes() for name in definite])
+        intervals.append([(out / name / "interval.json").read_bytes()
+                          for name in ("interval", "interval_N128")])
     assert weights[0] == weights[1]
+    assert intervals[0] == intervals[1]
     (one, Lams_1, values_1), (two, Lams_2, values_2) = runs
     assert one == two
     assert np.all(np.abs(Lams_1 - Lams_2) <= 1e-9 * np.maximum(1.0, np.abs(Lams_1)))

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -8,11 +9,9 @@ from scipy.integrate import quad
 
 import conetip as ct
 from conetip.errors import (CriticalContrastExcluded, InvalidGeometry,
-                            NoTransitionFound, NotApplicableDissipative,
-                            SeriesDomain)
-from conetip.spectrum import _line_census
+                            NoTransitionFound, SeriesDomain)
 
-from conftest import full_spectrum_witnesses
+from conftest import full_spectrum_witnesses, secular_witnesses
 
 
 def test_hyp2f1_at_zero():
@@ -82,26 +81,32 @@ CENSUS_GEOMETRIES = [
 ]
 
 
-def _assert_census_matches_full_spectrum(geometry, kappa, elements):
-    # per mode: the same count as the full spectrum, the same eta, and each
-    # eta on the banded dispersion curve at this contrast
+CENSUS_CONTRASTS = (-0.1, -0.3, -0.5, -0.7, -0.9, -0.98, -2.0, -5.0)
+
+
+def _assert_census_matches_oracles(geometry, kappa, elements, order=2):
+    # per mode: the same count as the secular census on the pencil and as
+    # the full spectrum, the same eta, and each eta on the banded dispersion
+    # curve at this contrast
     modes = range(5)
-    _, wit = ct.has_blackhole(geometry, kappa, modes=modes, elements=elements)
-    oracle = full_spectrum_witnesses(geometry, kappa, modes, elements)
+    _, wit = ct.has_blackhole(geometry, kappa, modes=modes, elements=elements, order=order)
+    oracles = (secular_witnesses(geometry, kappa, modes, elements, order),
+               full_spectrum_witnesses(geometry, kappa, modes, elements, order))
     for m in modes:
         got = [eta for mm, eta in wit if mm == m]
-        want = [eta for mm, eta in oracle if mm == m]
-        assert len(got) == len(want), (geometry, kappa, m, got, want)
-        assert_allclose(got, want, rtol=5e-9, atol=0)
-        relation = ct.dispersion_relation(geometry, m, elements)
+        for oracle in oracles:
+            want = [eta for mm, eta in oracle if mm == m]
+            assert len(got) == len(want), (geometry, kappa, elements, order, m, got, want)
+            assert_allclose(got, want, rtol=5e-9, atol=0)
+        relation = ct.dispersion_relation(geometry, m, elements, order)
         for eta in got:
             assert abs(relation(eta)[0] - kappa) <= 1e-10, (geometry, kappa, m, eta)
 
 
 @pytest.mark.parametrize("geometry", CENSUS_GEOMETRIES)
 def test_has_blackhole_census_matches_full_spectrum(geometry):
-    for kappa in (-0.3, -0.5, -0.7, -0.9, -0.98):
-        _assert_census_matches_full_spectrum(geometry, kappa, 64)
+    for kappa, elements, order in itertools.product(CENSUS_CONTRASTS, (32, 64), (1, 2)):
+        _assert_census_matches_oracles(geometry, kappa, elements, order)
 
 
 @pytest.mark.parametrize("geometry, kappa", [
@@ -109,38 +114,44 @@ def test_has_blackhole_census_matches_full_spectrum(geometry):
     (CENSUS_GEOMETRIES[5], -0.98),
 ])
 def test_has_blackhole_census_matches_full_spectrum_fine(geometry, kappa):
-    _assert_census_matches_full_spectrum(geometry, kappa, 256)
+    for order in (1, 2):
+        _assert_census_matches_oracles(geometry, kappa, 256, order)
 
 
 def test_line_census_at_a_fold(quarter_tip):
     # the fold of kappa_1(eta) at N=96, where the full spectrum calls a pair
     # 4e-6 off the real axis one line eigenvalue: the census stops splitting
-    # inside the rounding band and reports one witness, in bounded time
+    # inside the rounding band and reports one witness, in bounded time, at
+    # the fold (where its two neighbours meet)
     kappa0 = -0.7806797994809195
-    pencil = lambda k: ct.pencil_for(quarter_tip, ct.MaterialSpec.from_contrast(k),
-                                     1, 96, 2)
-    P = pencil(kappa0)
+    census = lambda k: [eta for _, eta in ct.has_blackhole(quarter_tip, k, (1,), 96)[1]]
     t0 = time.perf_counter()
-    at = _line_census(P)
+    at = census(kappa0)
     assert time.perf_counter() - t0 < 1.0
     assert len(at) == 1 and abs(at[0] - 2.3631823) < 1e-6
-    below = _line_census(pencil(kappa0 - 1e-8))
-    oracle = [eta for _, eta in full_spectrum_witnesses(quarter_tip, kappa0 - 1e-8, (1,), 96)]
-    assert_allclose(below, oracle, rtol=5e-9, atol=0)
+    below = census(kappa0 - 1e-8)
+    for oracle in (secular_witnesses, full_spectrum_witnesses):
+        assert_allclose(below, [eta for _, eta in oracle(quarter_tip, kappa0 - 1e-8, (1,), 96)],
+                        rtol=5e-9, atol=0)
     assert_allclose(below, [2.36251158, 2.36385320], rtol=0, atol=1e-8)
-    assert _line_census(pencil(kappa0 + 1e-8)).size == 0
-    # 3e-13 below the fold the two roots lie 7e-6 apart, outside the band
-    # that the rounding bound leaves between them: two witnesses, not three
-    assert len(_line_census(pencil(kappa0 - 3e-13))) == 2
+    assert census(kappa0 + 1e-8) == []
 
 
-def test_line_census_guards(quarter_tip, positive_material):
-    # kappa = 1 leaves the weight-one pencil, with no line eigenvalue
-    cap = ct.build_cap(quarter_tip, positive_material, 0, 32, 2)
-    assert _line_census(ct.assemble_pencil(cap)).size == 0
-    cap = ct.build_cap(quarter_tip, ct.MaterialSpec.from_contrast(-0.5), 0, 32, 2)
-    with pytest.raises(NotApplicableDissipative):
-        _line_census(ct.assemble_dissipative_pencil(cap, 1e-3))
+def test_line_census_guards(quarter_tip):
+    # the census takes negative contrasts; where the two regions' mass Schur
+    # complements balance, F has no far end, and the census says so rather
+    # than count
+    for kappa in (1.0, 0.5):
+        with pytest.raises(CriticalContrastExcluded):
+            ct.has_blackhole(quarter_tip, kappa)
+    for geometry, mode in ((quarter_tip, 1), (CENSUS_GEOMETRIES[5], 0)):
+        (_, m_minus), (_, m_plus) = (side.extension() for side in
+                                     ct.dispersion_relation(geometry, mode, 64).sides)
+        flat = -m_minus / m_plus
+        with pytest.raises(CriticalContrastExcluded, match="mass Schur complements"):
+            ct.has_blackhole(geometry, flat, modes=(mode,))
+        # a contrast a little off it has a far end
+        ct.has_blackhole(geometry, flat * (1.0 + 1e-6), modes=(mode,))
 
 
 def test_scan_interval_quarter(quarter_tip):

@@ -815,6 +815,36 @@ def test_secular_root_layout():
         assert len(near) == 2 and (near.imag == 0).all() == (n_bands == 0)
 
 
+def _aberth_sweeps(monkeypatch):
+    sweeps = []
+
+    def counted(*args):
+        z, n = aberth(*args)
+        sweeps.append(n)
+        return z, n
+
+    aberth = spectrum._aberth
+    monkeypatch.setattr(spectrum, "_aberth", counted)
+    return sweeps
+
+
+def test_aberth_stops_at_converged_roots(monkeypatch):
+    # alpha = pi/4, N = 64, the contrasts of absorption_flux's deep task: a
+    # converged root's correction carries the rounding of n terms and could
+    # cycle between 4.5e-16 and 4.6e-15 of |z| for all the sweeps (mode 5 at
+    # kappa = -0.93 was one such pencil); a root whose secular value is
+    # within its rounding bound stops
+    g = ct.CapGeometry("internal", np.pi / 4)
+    sweeps = _aberth_sweeps(monkeypatch)
+    P = ct.pencil_for(g, ct.MaterialSpec.from_contrast(-0.93), 5, 64, 2)
+    spec = ct.solve_pencil(P)
+    assert max(sweeps) <= 20
+    assert max(p.residual for p in spec.pairs) < 1e-12
+    for kappa, mode in itertools.product(np.linspace(-0.97, -0.9, 15), range(8)):
+        ct.solve_pencil(ct.pencil_for(g, ct.MaterialSpec.from_contrast(kappa), mode, 64, 2))
+    assert max(sweeps) < spectrum._ABERTH_SWEEPS
+
+
 def test_no_pair_rejected_on_the_oracle_grid():
     # the grid of test_weight_one_solve_matches_qz, without its QZ: every
     # pair is kept, as with the dense eigenvalue solve it replaces

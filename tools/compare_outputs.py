@@ -75,6 +75,11 @@ CONFIGS = {
     "interval_narrow_rim": {"subcommand": "interval", "geometry": NARROW_RIM,
                             "material": {"kappa": -2.0}, "modes": [0, 1], "mesh": N64,
                             "sweep": {"kappa_range": [-20.0, -1.05]}},
+    # a deep inner end: several line eigenvalues per mode at the census
+    "interval_many_witnesses": {"subcommand": "interval", "geometry": QUARTER,
+                                "modes": [0, 1, 2, 3, 4],
+                                "mesh": {"elements": 128, "order": 2},
+                                "sweep": {"kappa_range": [-0.98, -0.05]}},
     "spectrum_order1": {"subcommand": "spectrum", "geometry": QUARTER,
                         "material": HALF, "mesh": N64_LINEAR},
     "interval_dirichlet_order1": {"subcommand": "interval", "geometry": DIRICHLET_RIM,
