@@ -15,16 +15,16 @@ with no fixed sampling of the curves and no tolerance option;
 reduction: it counts each mode's line eigenvalues as the certified roots of
 ``S_minus + kappa S_plus``, the two regions' Schur complements that the
 dispersion curves evaluate (:func:`_line_witnesses`), with no pencil and no
-spectrum.  At the interval's inner end these roots cut
-each curve into pieces that lie on one side of that end, and so bracket
-every fold the scan refines.
+spectrum.  At the interval's inner end these roots cut each curve into
+pieces that lie on one side of that end, and so bracket every fold the scan
+refines.
 """
 
 from __future__ import annotations
 
 import contextvars
 from dataclasses import dataclass
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -246,25 +246,6 @@ def _quadratic(Mb, x):
                                        for d in range(1, len(Mb)))
 
 
-class _Point(NamedTuple):
-    """The census's values at one ``Lambda``: ``F = S_minus + kappa S_plus``
-    with its rounding bound, each side's ``b``, ``F' = -(b_minus + kappa
-    b_plus)`` with its rounding bound, and each side's gap ``L - S`` to its
-    affine bound (:meth:`_Side.extension`), rounding included."""
-
-    Lam: float
-    F: float
-    e_F: float
-    S_minus: float
-    S_plus: float
-    b_minus: float
-    b_plus: float
-    slope: float
-    e_slope: float
-    gap_minus: float
-    gap_plus: float
-
-
 def _split(a, c):
     """Split point of ``[a, c]`` on ``Lambda < 0``: the geometric mean when
     one end is 16 times farther from 0 than the other, else the midpoint."""
@@ -329,12 +310,16 @@ def _line_witnesses(relation, kappa: float) -> np.ndarray:
             "census has no far end")
 
     def point(Lam):
+        """The values at ``Lam``: ``F`` with its rounding bound ``e_F``, each
+        side's ``S`` and ``b``, ``slope = F'`` with its rounding bound, and
+        each side's gap ``L - S``, rounding included."""
         (s_m, b_m, e_m, d_m), (s_p, b_p, e_p, d_p) = (
             side.bounded(Lam, c) for side, c in zip(sides, norms))
-        e_L = e_affine * (abs(p_m) + abs(Lam) * m_m), e_affine * (abs(p_p) + abs(Lam) * m_p)
-        return _Point(Lam, s_m + kappa * s_p, e_m + k * e_p, s_m, s_p, b_m, b_p, k * b_p - b_m,
-                      d_m + k * d_p, p_m - Lam * m_m - s_m + e_m + e_L[0],
-                      p_p - Lam * m_p - s_p + e_p + e_L[1])
+        return SimpleNamespace(
+            Lam=Lam, F=s_m + kappa * s_p, e_F=e_m + k * e_p, S_minus=s_m, S_plus=s_p,
+            b_minus=b_m, b_plus=b_p, slope=k * b_p - b_m, e_slope=d_m + k * d_p,
+            gap_minus=p_m - Lam * m_m - s_m + e_m + e_affine * (abs(p_m) + abs(Lam) * m_m),
+            gap_plus=p_p - Lam * m_p - s_p + e_p + e_affine * (abs(p_p) + abs(Lam) * m_p))
 
     near = point(-0.25)
     if flat > 0.0:
@@ -421,7 +406,9 @@ def dispersion_relation(geometry: CapGeometry, mode: int, elements: int = 64,
     carries ``Lambda``.  ``krein = b_minus + kappa b_plus`` has the sign of
     ``dkappa/dLambda``, the Krein sign (Gohberg, Lancaster & Rodman, 2005),
     so it changes sign exactly at a fold, a Jordan point.  The region blocks
-    are read on the band, with no material (they do not depend on one).
+    are read on the band, with no material (they do not depend on one).  The
+    returned function carries its two regions (:class:`_Side`) as
+    ``.sides``, on which :func:`has_blackhole` counts.
     """
     p, ((A_minus, B_minus), (A_plus, B_plus)) = _region_bands(
         geometry, mode, elements, order)
@@ -435,7 +422,7 @@ def dispersion_relation(geometry: CapGeometry, mode: int, elements: int = 64,
         kappa = -s_minus / s_plus
         return float(kappa), float(b_minus + kappa * b_plus)
 
-    relation.sides = sides      # what the line census of a contrast reads
+    relation.sides = sides
     return relation
 
 

@@ -22,8 +22,8 @@ has exactly one eigenvector.  This module detects line eigenvalues on a
 solved spectrum (``conetip.interval.has_blackhole`` counts them from the
 region Schur complements instead), grows a Jordan chain above the
 eigenvector when its sigma-weighted self-product ``phi^T B phi`` vanishes (a
-fold of the dispersion relation, where the Krein sign changes), and derives radial
-weight exponents from the spectrum right of the line; for a definite
+fold of the dispersion relation, where the Krein sign changes), and derives
+radial weight exponents from the spectrum right of the line; for a definite
 pencil (both coefficients positive, no dissipation) that is its lowest
 eigenpair alone, found and certified on the band (:func:`_lowest_pair`).
 """
@@ -698,9 +698,8 @@ def _aberth(mu, c, target, z, fixed, mirror):
     rounding bound, ``4 n eps`` times the summed magnitudes (the rule of the
     Newton polish of :func:`_certified_roots`): the correction of a
     converged root carries the rounding of n terms, so it may never fall
-    below ``2 eps |z|``.
-    Mirrored roots stay in the upper half-plane.  Returns the roots and the
-    number of sweeps made."""
+    below ``2 eps |z|``.  Mirrored roots stay in the upper half-plane.
+    Returns the roots and the number of sweeps made."""
     z = np.array(z, dtype=complex)
     live = np.arange(len(z))
     widen, c_abs = 4.0 * len(c) * _EPS, np.abs(c)
@@ -1047,19 +1046,12 @@ def _is_lowest(Ab, Bb, Lam, x) -> bool:
 
     ``rho = ||r||_{B^-1} / ||x||_B``, ``r = A x - Lam B x``, is the inclusion
     radius of the pair: an eigenvalue lies within ``rho`` of ``Lam``
-    (Parlett, The Symmetric Eigenvalue Problem).  A Cholesky factorization
-    that runs to completion on ``A - sigma B - c D``,
-    ``D = diag(A) + |sigma| diag(B)``, is exact for a matrix within
-    ``(2u + 1) (u + 5) eps D`` of it in the Loewner order: the backward error
-    of the band factorization, ``gamma_{u+2} |L||L^T|`` (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 10), and of
-    forming the shifted matrix, are below ``(u + 5) eps sqrt(D_i D_j)``
-    entrywise, because ``A`` and ``B`` are semidefinite, and a band of
-    ``2u + 1`` such entries is below that times ``D``.  With ``c`` twice
-    that bound, ``A - sigma B`` is then positive definite, and by
-    Sylvester's law of inertia no eigenvalue is ``<= sigma``.  ``delta``,
-    ``4 c x^T D x / x^T B x``, is the room the test needs for ``c D`` when
-    ``x`` is the lowest eigenvector.  The lowest eigenvalue does not exceed
+    (Parlett, The Symmetric Eigenvalue Problem).  A and B are semidefinite,
+    so with ``D = diag(A) + |sigma| diag(B)`` :func:`_certainly_definite`
+    can certify ``A - sigma B`` positive definite, and by Sylvester's law of
+    inertia no eigenvalue is then ``<= sigma``.  ``delta``,
+    ``4 c x^T D x / x^T B x`` (``c`` of :func:`_definite_margin`), is the
+    room the test needs for ``c D`` when ``x`` is the lowest eigenvector.  The lowest eigenvalue does not exceed
     the Rayleigh quotient ``Lam``, so a pass puts it in ``(sigma, Lam]``."""
     from scipy.linalg import lapack
     Ax, Bx = _lower_times(Ab, x), _lower_times(Bb, x)
