@@ -39,11 +39,12 @@ SERIES_REL_TOL = 1e-16
 SERIES_MAX_TERMS = 10 ** 6
 ALEPH_ALPHA_GUARD = 0.2
 DEFAULT_MODES = (0, 1, 2, 3, 4)
-# the dispersion relations of a running scan_interval, by (geometry, mode,
-# elements, order), which its has_blackhole call counts on; empty elsewhere
-_BUILT = contextvars.ContextVar("conetip_interval_built", default={})
 CONTRAST_NEIGHBORHOOD_GUARD = 0.02
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+# the dispersion relations of a running scan_interval, by (geometry, mode,
+# elements, order): its has_blackhole call counts on their sides and keeps
+# the public signature; empty elsewhere
+_BUILT = contextvars.ContextVar("conetip_interval_built", default={})
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
