@@ -54,10 +54,6 @@ class PerturbationDegenerate(ConetipError):
     code = "perturbation-degenerate"
 
 
-class NotApplicableDissipative(ConetipError):
-    code = "not-applicable-dissipative"
-
-
 class NoTransitionFound(ConetipError):
     code = "no-transition-found"
 

@@ -31,7 +31,7 @@ import numpy as np
 from .cap import CapGeometry, _region_bands
 from .errors import (CriticalContrastExcluded, InvalidGeometry, NoTransitionFound,
                      SeriesDomain, SeriesNonconvergent)
-from .spectrum import _band_cholesky, _certainly_definite, _lower_times
+from .spectrum import _definite_margin, _lower_times
 
 _EPS = np.finfo(float).eps
 SERIES_Z_MAX = 0.99
@@ -88,31 +88,32 @@ def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
     contrast.  Returns ``(flag, witnesses)`` with witnesses ``(mode, eta)``,
     ascending in ``eta`` within a mode; ``stop_at_first`` short-circuits
     after the first witnessing mode (the flag is unaffected, the witness list
-    is then partial).
+    is then partial, and no later mode raises).
 
     Each mode's line eigenvalues are counted on the interface reduction of
     :func:`dispersion_relation`, with no pencil and no spectrum: they are the
     certified roots ``Lambda = -1/4 - eta^2`` of
     ``S_minus(Lambda) + kappa S_plus(Lambda)``, the two regions' Schur
-    complements (:func:`_line_witnesses`).  Two roots that meet at a fold
-    within rounding are one witness.  A full spectrum shows the same band as
-    a conjugate pair just off the real axis; at the fold of mode 1 at
-    ``alpha = pi/4``, N = 96, it lies 1.07e-6 (relative) off it, beyond
-    ``LINE_TOL``, so ``line_eigenvalues`` drops the pair as complex while
-    the census counts one witness.  A contrast where the two regions' mass
-    Schur complements balance (the census has no far end there) raises
+    complements (:func:`_line_witnesses`, all modes at once).  Two roots that
+    meet at a fold within rounding are one witness.  A full spectrum shows
+    the same band as a conjugate pair just off the real axis; at the fold of
+    mode 1 at ``alpha = pi/4``, N = 96, it lies 1.07e-6 (relative) off it,
+    beyond ``LINE_TOL``, so ``line_eigenvalues`` drops the pair as complex
+    while the census counts one witness.  A contrast where the two regions'
+    mass Schur complements balance (the census has no far end there) raises
     :class:`~conetip.errors.CriticalContrastExcluded`.  Called from
     :func:`scan_interval`, it counts on the region sides that the scan's
     dispersion curves already built."""
     if kappa >= 0:
         raise CriticalContrastExcluded("contrast must be negative")
-    built, witnesses = _BUILT.get(), []
-    for m in modes:
-        relation = built.get((geometry, m, elements, order)) \
+    built, modes = _BUILT.get(), list(modes)
+
+    def relation(m):
+        return built.get((geometry, m, elements, order)) \
             or dispersion_relation(geometry, m, elements, order)
-        witnesses += [(m, float(eta)) for eta in _line_witnesses(relation, kappa)]
-        if witnesses and stop_at_first:
-            break
+
+    found = _line_witnesses(modes, relation, kappa, stop_at_first)
+    witnesses = [(m, float(eta)) for m, etas in zip(modes, found) for eta in etas]
     return len(witnesses) > 0, witnesses
 
 
@@ -125,7 +126,8 @@ class _Side:
     rows.  The interior block ``K = A - Lambda B`` is positive definite for
     every ``Lambda <= -1/4``, so it is solved by LAPACK's banded Cholesky
     ``pbsv`` on its lower band; a nonzero ``info`` raises
-    :class:`numpy.linalg.LinAlgError`.
+    :class:`numpy.linalg.LinAlgError`.  The census evaluates many sides and
+    points in one solve (:class:`_Stack`).
 
     In the interior eigenbasis ``S = L(Lambda) - sum_j r_j^2 / (nu_j - Lambda)``
     with ``L`` affine and every ``nu_j > -1/4``, so on ``Lambda <= -1/4``
@@ -166,10 +168,147 @@ class _Side:
         return (self.A_ff - Lam * self.B_ff + f @ x,
                 self.B_ff + 2.0 * (self.b @ x) + _quadratic(self.B_in, x))
 
-    def bounded(self, Lam, inverse_norm):
-        """``(S, b, e_S, e_b)``: the values of a call and bounds on their
-        rounding errors, to first order, given ``inverse_norm``
-        ``>= ||K(Lambda)^-1||_2`` (:meth:`inverse_norm`).
+
+def _indefinite(side, what):
+    """The error of a side of a :class:`_Stack` whose ``what`` is not
+    positive definite, its index as ``.side``."""
+    err = np.linalg.LinAlgError(f"{what} not positive definite")
+    err.side = int(side)
+    return err
+
+
+def _cross(Mt, x):
+    """By column ``i``, the terms ``sum_d M[i + d, i] x_i x_(i+d)`` of
+    ``x^T M x`` below the diagonal, for ``M`` in transposed lower band
+    storage ``Mt`` (column ``d`` the ``d``-th subdiagonal)."""
+    out = np.zeros(len(x))
+    for d in range(1, Mt.shape[1]):
+        out[:-d] += Mt[:-d, d] * (x[:-d] * x[d:])
+    return out
+
+
+def _quadratic(Mb, x):
+    """``x^T M x`` over the lower band storage ``Mb``, each off-diagonal entry
+    twice."""
+    return Mb[0] @ (x * x) + 2.0 * sum(Mb[d, :-d] @ (x[:-d] * x[d:])
+                                       for d in range(1, len(Mb)))
+
+
+class _Stack:
+    """The interior blocks of several :class:`_Side` objects side by side on
+    one lower band, with exact zeros between them: any list of requests
+    ``(side, Lambda)`` is one block-diagonal matrix, solved by one LAPACK
+    ``pbsv``.  The banded Cholesky of a block meets only zeros from its
+    neighbours, so each block's factor and solution have the bits of its own
+    ``pbsv``.  A request list's columns come from the blocks' first columns
+    and sizes, with no loop over its requests, and each column's entries
+    (its band of ``A_in`` and ``B_in``, and its entries of ``a`` and ``b``)
+    are one row of a table, gathered in one take.
+
+    Built, it holds each side's two constants of the census, on the stack
+    too: ``inverse_norm``, an upper bound on ``||K(Lambda)^-1||_2`` for every
+    ``Lambda <= -1/4``, and ``(p, m)``, the values of the interface value's
+    extension by one solve of the interior *mass* rows, ``psi``:
+    ``p = psi^T A psi`` and ``m = psi^T B psi``, the least ``phi^T B phi``
+    over every extension.  Then ``L(Lambda) = p - Lambda m >= S(Lambda)``,
+    and ``L - S`` is nondecreasing in ``Lambda``, its derivative being
+    ``b - m >= 0``.  ``K(Lambda) = K(-1/4) + (-1/4 - Lambda) B`` only grows,
+    so the inverse norm is ``1 / s`` for ``s`` below the smallest eigenvalue
+    of ``K(-1/4)``: four inverse-iteration steps give its Rayleigh quotient
+    ``theta``, and ``s = theta / 2`` is divided by 4 until a banded Cholesky
+    certifies ``K(-1/4) - s I`` positive definite (as
+    :func:`~conetip.spectrum._certainly_definite` does).  A side whose
+    interior block or interior mass is not positive definite raises
+    :class:`numpy.linalg.LinAlgError`, with its index as ``.side``."""
+
+    def __init__(self, sides):
+        from scipy.linalg import lapack
+        self.u = u = len(sides[0].A_in) - 1
+        self.size = np.array([side.A_in.shape[1] for side in sides])
+        self.first = np.cumsum(self.size) - self.size
+        self.table = np.vstack([np.column_stack([side.A_in.T, side.B_in.T, side.a, side.b])
+                                for side in sides])
+        # the band entries past the end of a block would couple it to the next
+        past = np.arange(len(self.table)) - np.repeat(self.first + self.size, self.size)
+        for d in range(1, u + 1):
+            self.table[past + d >= 0, d] = self.table[past + d >= 0, u + 1 + d] = 0.0
+        self._pbsv = sides[0]._pbsv
+        A, B = self.table[:, :u + 1], self.table[:, u + 1:2 * u + 2]
+        A_ff, B_ff = np.array([(side.A_ff, side.B_ff) for side in sides]).T
+
+        K = A + 0.25 * B
+        L, info = lapack.dpbtrf(K.T, lower=1)
+        self._check(info, np.arange(len(sides)), self.first, "interior block")
+        x = np.ones(len(K))
+        for _ in range(4):
+            x = lapack.dpbtrs(L, x, lower=1)[0]
+            x /= np.repeat(np.sqrt(np.add.reduceat(x * x, self.first)), self.size)
+        s = 0.5 * np.add.reduceat(x * _lower_times(K.T, x), self.first)
+        # certify K - s I, side by side: where one fails, its s is divided by
+        # 4 and it is tried again with the sides after it
+        todo, margin = np.arange(len(sides)), _definite_margin(K.T)
+        while len(todo):
+            if not (s[todo] > 0.0).all():
+                raise _indefinite(todo[np.argmin(s[todo] > 0.0)], "interior block")
+            rows, at = self._rows(todo)
+            H = K.take(rows, axis=0)
+            H[:, 0] = (H[:, 0] - np.repeat(s[todo], self.size[todo])) - margin * H[:, 0]
+            info = lapack.dpbtrf(H.T, lower=1)[1]
+            if info == 0:
+                break
+            j = np.searchsorted(at, info - 1, side="right") - 1
+            s[todo[j]] *= 0.25
+            todo = todo[j:]
+
+        _, y, info = self._pbsv(B.T, -self.table[:, -1], lower=1)
+        self._check(info, np.arange(len(sides)), self.first, "interior mass")
+        yy = y * y
+        a_y, A_yy, A_cross, b_y, B_yy, B_cross = np.add.reduceat(np.column_stack([
+            self.table[:, -2] * y, A[:, 0] * yy, _cross(A, y),
+            self.table[:, -1] * y, B[:, 0] * yy, _cross(B, y)]), self.first, axis=0).T
+        self.p = A_ff + 2.0 * a_y + (A_yy + 2.0 * A_cross)
+        self.m = B_ff + 2.0 * b_y + (B_yy + 2.0 * B_cross)
+        # per side: A_ff, B_ff, its _norms, its inverse norm and its size
+        self.scalars = np.column_stack([A_ff, B_ff, [side._norms for side in sides],
+                                      1.0 / s, self.size])
+
+    def _rows(self, blocks):
+        """The table rows of the columns of ``blocks``, side by side, and
+        where each block starts among them."""
+        size = self.size[blocks]
+        at = np.cumsum(size) - size
+        return np.arange(size.sum()) + np.repeat(self.first[blocks] - at, size), at
+
+    @staticmethod
+    def _check(info, blocks, at, what):
+        """Raise for the block of ``blocks`` (side by side, starting at
+        ``at``) at whose column ``info`` (one-based) a factorization failed;
+        nothing when ``info`` is 0."""
+        if info != 0:
+            j = np.searchsorted(at, info - 1, side="right") - 1
+            raise _indefinite(blocks[j], f"{what} (info {info - at[j]})")
+
+    def solve(self, blocks, Lams):
+        """``(x, at, rows, lam, f)``: the interior solves
+        ``(A_in - Lambda B_in) x = -f``, ``f = a - Lambda b``, of the requests
+        ``(blocks[j], Lams[j])``, side by side, request ``j`` from ``at[j]``
+        on; ``rows`` are their columns' rows of the table and ``lam`` their
+        ``Lambda``."""
+        u = self.u
+        index, at = self._rows(blocks)
+        rows = self.table.take(index, axis=0)
+        lam = np.repeat(Lams, self.size[blocks])
+        f = rows[:, -2] - lam * rows[:, -1]
+        # the transposed (columns, u + 1) array is the band in Fortran order
+        K = rows[:, :u + 1] - lam[:, None] * rows[:, u + 1:2 * u + 2]
+        _, x, info = self._pbsv(K.T, -f, lower=1, overwrite_ab=1, overwrite_b=1)
+        self._check(info, blocks, at, "interior block")
+        return x, at, rows, lam, f
+
+    def bounded(self, blocks, Lams):
+        """``(S, b, e_S, e_b)`` of each request: the values of
+        :meth:`_Side.__call__` and bounds on their rounding errors, to first
+        order, each summed over its request's columns.
 
         The banded Cholesky solve is backward stable: the computed ``x``
         solves ``(K + dK) x = -f`` with ``|dK| <= gamma_{3u+4} |R^T| |R|``
@@ -182,69 +321,29 @@ class _Side:
         ``S`` moves by ``x^T dK x`` (``f^T K^-1 = -x^T``), at most
         ``(3u + 5) (2u + 1) eps sum d_i x_i^2``; ``b`` moves by ``2 w^T dx``
         with ``w`` the interior rows of ``B phi`` and
-        ``||dx|| <= ||K^-1|| (||dK|| ||x|| + ||df||)``.  The roundings of
-        ``f`` and of the sums that form ``S`` and ``b`` are added."""
-        f, x = self._solve(Lam)
-        u, n = len(self.A_in) - 1, len(x)
-        xx = x * x
-        A_xx, B_xx = self.A_in[0] @ xx, self.B_in[0] @ xx
-        S = self.A_ff - Lam * self.B_ff + f @ x
-        b = self.B_ff + 2.0 * (self.b @ x) + _quadratic(self.B_in, x)
+        ``||dx|| <= ||K^-1|| (||dK|| ||x|| + ||df||)``, ``||K^-1||`` bounded
+        by the side's ``inverse_norm``.  The roundings of ``f`` and of the
+        sums that form ``S`` and ``b`` are added."""
+        x, at, rows, lam, f = self.solve(blocks, Lams)
+        u, xx = self.u, x * x
+        # the terms across blocks of x^T B_in x are 0
+        f_x, b_x, A_xx, B_xx, B_cross, x_x = np.add.reduceat(np.column_stack([
+            f * x, rows[:, -1] * x, rows[:, 0] * xx, rows[:, u + 1] * xx,
+            _cross(rows[:, u + 1:2 * u + 2], x), xx]), at, axis=0).T
+        A_ff, B_ff, A_max, B_max, a_norm, b_norm, inverse_norm, n = self.scalars[blocks].T
+        S = A_ff - Lams * B_ff + f_x
+        b = B_ff + 2.0 * b_x + (B_xx + 2.0 * B_cross)
         grow = (3 * u + 5) * (2 * u + 1) * _EPS
         # sum d_i x_i^2 and max d, d = A_ii - Lambda B_ii; ||f|| and
         # ||B|| <= (2u + 1) max B_ii bound ||w|| <= ||b|| + ||B|| ||x||
-        x_norm, (A_max, B_max, a_norm, b_norm) = np.sqrt(xx.sum()), self._norms
-        f_norm = a_norm + abs(Lam) * b_norm
-        e_S = (grow * (A_xx - Lam * B_xx) + (u + 3) * _EPS * f_norm * x_norm
-               + 3.0 * _EPS * (self.A_ff + abs(Lam) * self.B_ff))
+        x_norm, f_norm = np.sqrt(x_x), a_norm + np.abs(Lams) * b_norm
+        e_S = (grow * (A_xx - Lams * B_xx) + (u + 3) * _EPS * f_norm * x_norm
+               + 3.0 * _EPS * (A_ff + np.abs(Lams) * B_ff))
         w_norm = b_norm + (2 * u + 1) * B_max * x_norm
-        dx = inverse_norm * (grow * (A_max - Lam * B_max) * x_norm + _EPS * f_norm)
+        dx = inverse_norm * (grow * (A_max - Lams * B_max) * x_norm + _EPS * f_norm)
         e_b = 2.0 * w_norm * dx + (n + 3) * _EPS * (
-            self.B_ff + 2.0 * b_norm * x_norm + (2 * u + 1) * B_xx)
+            B_ff + 2.0 * b_norm * x_norm + (2 * u + 1) * B_xx)
         return S, b, e_S, e_b
-
-    def inverse_norm(self):
-        """An upper bound on ``||K(Lambda)^-1||_2`` for every
-        ``Lambda <= -1/4``: ``K(Lambda) = K(-1/4) + (-1/4 - Lambda) B`` only
-        grows, so it is ``1 / s`` for ``s`` below the smallest eigenvalue of
-        ``K(-1/4)``.  Four inverse-iteration steps give its Rayleigh quotient
-        ``theta``; ``s = theta / 2`` is divided by 4 until a banded Cholesky
-        certifies ``K(-1/4) - s I`` positive definite
-        (:func:`~conetip.spectrum._certainly_definite`)."""
-        from scipy.linalg import lapack
-        K = self.A_in + 0.25 * self.B_in
-        L = _band_cholesky(K)
-        x = np.ones(K.shape[1])
-        for _ in range(4):
-            x = lapack.dpbtrs(L, x, lower=1)[0]
-            x /= np.linalg.norm(x)
-        s = 0.5 * (x @ _lower_times(K, x))
-        while s > 0.0:
-            H = K.copy()
-            H[0] -= s
-            if _certainly_definite(H, K[0]):
-                return 1.0 / s
-            s *= 0.25
-        raise np.linalg.LinAlgError("interior block not positive definite")
-
-    def extension(self):
-        """``(p, m)`` of the interface value extended by one solve of the
-        interior *mass* rows, ``psi``: ``p = psi^T A psi`` and
-        ``m = psi^T B psi``, the least ``phi^T B phi`` over every extension.
-        Then ``L(Lambda) = p - Lambda m >= S(Lambda)``, and ``L - S`` is
-        nondecreasing in ``Lambda``, its derivative being ``b - m >= 0``."""
-        _, y, info = self._pbsv(self.B_in, -self.b, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"interior mass not positive definite (info {info})")
-        return (self.A_ff + 2.0 * (self.a @ y) + _quadratic(self.A_in, y),
-                self.B_ff + 2.0 * (self.b @ y) + _quadratic(self.B_in, y))
-
-
-def _quadratic(Mb, x):
-    """``x^T M x`` over the lower band storage ``Mb``, each off-diagonal entry
-    twice."""
-    return Mb[0] @ (x * x) + 2.0 * sum(Mb[d, :-d] @ (x[:-d] * x[d:])
-                                       for d in range(1, len(Mb)))
 
 
 def _split(a, c):
@@ -264,11 +363,12 @@ def _triangle(t_a, s, t_c):
     return (s - lo) * (hi - s) / (hi - lo)
 
 
-def _line_witnesses(relation, kappa: float) -> np.ndarray:
-    """Ascending ``eta`` of the energy-line eigenvalues of one mode at the
+def _line_witnesses(modes, relation, kappa: float, stop_at_first: bool = False) -> list:
+    """Per mode, the ascending ``eta`` of its energy-line eigenvalues at the
     contrast ``kappa < 0``, from the two sides of its dispersion relation
-    (``relation.sides``, :class:`_Side`): the roots ``Lambda = -1/4 - eta^2``
-    of ``F = S_minus + kappa S_plus`` on ``Lambda <= -1/4``.
+    (``relation(mode).sides``, :class:`_Side`): the roots
+    ``Lambda = -1/4 - eta^2`` of ``F = S_minus + kappa S_plus`` on
+    ``Lambda <= -1/4``.
 
     *Enclosure.*  On a piece ``[a, c]``, ``S_minus`` is concave and
     ``kappa S_plus`` convex, so each lies between its chord and the chord
@@ -279,7 +379,7 @@ def _line_witnesses(relation, kappa: float) -> np.ndarray:
     piece: ``F`` lies within ``[-g_minus(c), |kappa| g_plus(c)]`` of the
     affine part ``L_minus + kappa L_plus``.  ``F`` is enclosed by the tighter
     of the two, and both enclosures are widened by the rounding bounds of
-    :meth:`_Side.bounded` and of the affine part.
+    :meth:`_Stack.bounded` and of the affine part.
 
     *Far end.*  The affine part has the slope ``-(m_minus + kappa m_plus)``,
     so the gaps at ``-1/4`` bound the distance beyond which ``F`` has no
@@ -287,77 +387,165 @@ def _line_witnesses(relation, kappa: float) -> np.ndarray:
     the slope vanishes within its rounding has no such end and raises
     :class:`~conetip.errors.CriticalContrastExcluded`.
 
-    *Search.*  As :func:`~conetip.spectrum._certified_roots` searches the
-    secular function: a piece is dropped when its enclosure excludes 0, kept
-    as a root when ``F'`` keeps one sign and ``F`` changes sign at its ends,
-    and split otherwise (geometrically in the distance to 0 when one end is
-    16 times farther).  A piece where ``F'`` may vanish and the ``F``
-    enclosure is within twice its rounding is a fold, where two roots meet
-    within rounding; touching folds form one band, counted once, unless
-    ``F`` lies on its extremum's side of 0 at both ends of the band (the two
-    roots are then the sign changes outside it).  Roots are polished by
-    Newton steps inside their brackets, from the chord's root, until ``F``
-    or the step is within rounding, and then by one more step: the rounding
-    bound is a worst case, so the last value is usually far below it."""
-    sides, k = relation.sides, -kappa
-    norms = [side.inverse_norm() for side in sides]
-    (p_m, m_m), (p_p, m_p) = (side.extension() for side in sides)
-    affine, flat = p_m + kappa * p_p, m_m + kappa * m_p
-    # the rounding of p and m, relative, as of any sum of n terms
-    e_affine = sum(len(side.b) + 3 for side in sides) * _EPS
-    if abs(flat) <= e_affine * (m_m + k * m_p):
-        raise CriticalContrastExcluded(
-            f"kappa={kappa}: the mass Schur complements balance, so the line "
-            "census has no far end")
+    *Search* (:func:`_census`).  As :func:`~conetip.spectrum._certified_roots`
+    searches the secular function: a piece is dropped when its enclosure
+    excludes 0, kept as a root when ``F'`` keeps one sign and ``F`` changes
+    sign at its ends, and split otherwise (geometrically in the distance to 0
+    when one end is 16 times farther).  A piece where ``F'`` may vanish and
+    the ``F`` enclosure is within twice its rounding is a fold, where two
+    roots meet within rounding; touching folds form one band, counted once,
+    unless ``F`` lies on its extremum's side of 0 at both ends of the band
+    (the two roots are then the sign changes outside it).  Roots are
+    polished by Newton steps inside their brackets (:func:`_polish`).
 
-    def point(Lam):
-        """The values at ``Lam``: ``F`` with its rounding bound ``e_F``, each
-        side's ``S`` and ``b``, ``slope = F'`` with its rounding bound, and
-        each side's gap ``L - S``, rounding included."""
-        (s_m, b_m, e_m, d_m), (s_p, b_p, e_p, d_p) = (
-            side.bounded(Lam, c) for side, c in zip(sides, norms))
-        return SimpleNamespace(
-            Lam=Lam, F=s_m + kappa * s_p, e_F=e_m + k * e_p, S_minus=s_m, S_plus=s_p,
-            b_minus=b_m, b_plus=b_p, slope=k * b_p - b_m, e_slope=d_m + k * d_p,
-            gap_minus=p_m - Lam * m_m - s_m + e_m + e_affine * (abs(p_m) + abs(Lam) * m_m),
-            gap_plus=p_p - Lam * m_p - s_p + e_p + e_affine * (abs(p_p) + abs(Lam) * m_p))
+    *Rounds.*  The modes are searched in lockstep: each round gathers the
+    points that every mode's live pieces and roots need, their split points
+    and Newton steps, and evaluates them all in one solve on the stack of
+    every mode's two sides (:class:`_Stack`).  Every decision is made on the
+    values of that point alone, so the order of the rounds changes no piece.
 
-    near = point(-0.25)
+    *Errors.*  A mode's error (its relation, its set-up or a solve) is
+    raised once every mode before it is done and none of them ended the
+    call (with ``stop_at_first``, by a witness): as when the modes are
+    searched one after another.  The list then holds the modes up to the
+    first witnessing one."""
+    k, results, live = -kappa, [None] * len(modes), []
+    for i, m in enumerate(modes):
+        try:
+            live.append((i, relation(m).sides))
+        except Exception as err:   # raised in mode order, by settled()
+            results[i] = err
+
+    def settled():
+        """The results up to the mode that ends the call, or None while a
+        mode before it is still searching."""
+        out = []
+        for result in results:
+            if result is None:
+                return None
+            if isinstance(result, Exception):
+                raise result
+            out.append(np.sqrt(np.sort(-0.25 - np.array(result, dtype=float))))
+            if stop_at_first and len(result):
+                break
+        return out
+
+    stack = None
+    while live and stack is None:
+        try:
+            stack = _Stack([side for _, sides in live for side in sides])
+        except np.linalg.LinAlgError as err:
+            results[live.pop(err.side // 2)[0]] = err
+    if stack is None:
+        return settled()
+    # per mode: its sides' p and m, and their rounding, relative, as of any
+    # sum of n terms
+    (P_m, P_p), (M_m, M_p) = stack.p.reshape(-1, 2).T, stack.m.reshape(-1, 2).T
+    E = (stack.size.reshape(-1, 2).sum(axis=1) + 6) * _EPS
+    censuses = {}
+    for j, (i, _) in enumerate(live):
+        flat = M_m[j] + kappa * M_p[j]
+        if abs(flat) <= E[j] * (M_m[j] + k * M_p[j]):
+            results[i] = CriticalContrastExcluded(
+                f"kappa={kappa}: the mass Schur complements balance, so the line "
+                "census has no far end")
+        else:
+            censuses[j] = _census(kappa, P_m[j] + kappa * P_p[j], flat)
+
+    def points(at, Lam):
+        """The points of the stacked modes ``at`` at ``Lam``: ``F`` with its
+        rounding bound ``e_F``, each side's ``S`` and ``b``, ``slope = F'``
+        with its rounding bound, and each side's gap ``L - S``, rounding
+        included."""
+        (s_m, s_p), (b_m, b_p), (e_m, e_p), (d_m, d_p) = (
+            v.reshape(-1, 2).T for v in stack.bounded(
+                np.stack([2 * at, 2 * at + 1], axis=1).ravel(), np.repeat(Lam, 2)))
+        p_m, m_m, p_p, m_p, e = (v[at] for v in (P_m, M_m, P_p, M_p, E))
+        return [SimpleNamespace(Lam=L, F=F, e_F=e_F, S_minus=sm, S_plus=sp, b_minus=bm,
+                                b_plus=bp, slope=sl, e_slope=e_sl, gap_minus=gm, gap_plus=gp)
+                for L, F, e_F, sm, sp, bm, bp, sl, e_sl, gm, gp in zip(*(v.tolist() for v in (
+                    Lam, s_m + kappa * s_p, e_m + k * e_p, s_m, s_p, b_m, b_p,
+                    k * b_p - b_m, d_m + k * d_p,
+                    p_m - Lam * m_m - s_m + e_m + e * (np.abs(p_m) + np.abs(Lam) * m_m),
+                    p_p - Lam * m_p - s_p + e_p + e * (np.abs(p_p) + np.abs(Lam) * m_p))))]
+
+    wants = {j: next(census) for j, census in censuses.items()}
+    while (found := settled()) is None:
+        at = np.repeat(list(wants), [len(want) for want in wants.values()])
+        try:
+            given = points(at, np.concatenate(list(wants.values())))
+        except np.linalg.LinAlgError as err:
+            results[live[err.side // 2][0]] = err
+            del wants[err.side // 2]
+            continue
+        for j, want in list(wants.items()):
+            try:
+                wants[j] = censuses[j].send(given[:len(want)])
+            except StopIteration as stop:
+                results[live[j][0]] = stop.value
+                del wants[j]
+            except Exception as err:   # raised in mode order, by settled()
+                results[live[j][0]] = err
+                del wants[j]
+            given = given[len(want):]
+    return found
+
+
+def _census(kappa, affine, flat):
+    """One mode's search of :func:`_line_witnesses`, as a generator: it
+    yields the list of ``Lambda`` at which it needs points next, is sent
+    their points, and returns the roots in ``Lambda``.  ``affine - Lambda
+    flat`` is the affine part of ``F``."""
+    k = -kappa
+    near, = yield [-0.25]
     if flat > 0.0:
         far = (near.gap_minus - affine) / flat
     else:
         far = (affine + k * near.gap_plus) / -flat
     if not far > 0.25:
-        return np.empty(0)
+        return []
+    lowest, = yield [-2.0 * far]
+    pieces, roots, folds, found = [(lowest, near)], [], [], []
+    while True:
+        splits = []
+        for pa, pc in pieces:
+            a, c = pa.Lam, pc.Lam
+            w = c - a
+            up = w * _triangle(-pa.b_minus, (pc.S_minus - pa.S_minus) / w, -pc.b_minus)
+            down = w * _triangle(k * pa.b_plus, -k * (pc.S_plus - pa.S_plus) / w,
+                                 k * pc.b_plus)
+            # the rounding of the end values, and through the slopes of the triangles
+            e = pa.e_F + pc.e_F + w * (pa.e_slope + pc.e_slope)
+            lo, hi = min(pa.F, pc.F) - down, max(pa.F, pc.F) + up
+            aff_a, aff_c = affine - a * flat, affine - c * flat
+            if max(lo - e, min(aff_a, aff_c) - pc.gap_minus) > 0.0 \
+                    or min(hi + e, max(aff_a, aff_c) + k * pc.gap_plus) < 0.0:
+                continue
+            e_slope = max(pa.e_slope, pc.e_slope)
+            if k * pa.b_plus - pc.b_minus - e_slope > 0.0 \
+                    or k * pc.b_plus - pa.b_minus + e_slope < 0.0:
+                if (pa.F > 0.0) != (pc.F > 0.0):
+                    polish = _polish(pa, pc)
+                    roots.append((polish, next(polish)))
+                continue
+            m = _split(a, c)
+            if hi - lo <= 2.0 * e or not a < m < c:
+                folds.append((pa, pc))
+            else:
+                splits.append((pa, m, pc))
+        if not (splits or roots):
+            break
+        given = yield [m for _, m, _ in splits] + [x for _, x in roots]
+        pieces = [piece for (pa, _, pc), pm in zip(splits, given)
+                  for piece in ((pa, pm), (pm, pc))]
+        polished = []
+        for (polish, _), px in zip(roots, given[len(splits):]):
+            try:
+                polished.append((polish, polish.send(px)))
+            except StopIteration as stop:
+                found.append(stop.value)
+        roots = polished
 
-    roots, folds, pieces = [], [], [(point(-2.0 * far), near)]
-    while pieces:
-        pa, pc = pieces.pop()
-        a, c = pa.Lam, pc.Lam
-        w = c - a
-        up = w * _triangle(-pa.b_minus, (pc.S_minus - pa.S_minus) / w, -pc.b_minus)
-        down = w * _triangle(k * pa.b_plus, -k * (pc.S_plus - pa.S_plus) / w, k * pc.b_plus)
-        # the rounding of the end values, and through the slopes of the triangles
-        e = pa.e_F + pc.e_F + w * (pa.e_slope + pc.e_slope)
-        lo, hi = min(pa.F, pc.F) - down, max(pa.F, pc.F) + up
-        aff_a, aff_c = affine - a * flat, affine - c * flat
-        if max(lo - e, min(aff_a, aff_c) - pc.gap_minus) > 0.0 \
-                or min(hi + e, max(aff_a, aff_c) + k * pc.gap_plus) < 0.0:
-            continue
-        e_slope = max(pa.e_slope, pc.e_slope)
-        if k * pa.b_plus - pc.b_minus - e_slope > 0.0 \
-                or k * pc.b_plus - pa.b_minus + e_slope < 0.0:
-            if (pa.F > 0.0) != (pc.F > 0.0):
-                roots.append((pa, pc))
-            continue
-        m = _split(a, c)
-        if hi - lo <= 2.0 * e or not a < m < c:
-            folds.append((pa, pc))
-        else:
-            pm = point(m)
-            pieces += [(pa, pm), (pm, pc)]
-
-    found = []
     bands = []
     for pa, pc in sorted(folds, key=lambda piece: piece[0].Lam):
         if bands and bands[-1][1].Lam == pa.Lam:
@@ -372,28 +560,36 @@ def _line_witnesses(relation, kappa: float) -> np.ndarray:
         a, c = pa.Lam, pc.Lam
         x = a - pa.slope * (c - a) / (pc.slope - pa.slope) if pc.slope != pa.slope else a
         found.append(x if a < x < c else 0.5 * (a + c))
-    for pa, pc in roots:
-        a, c, above = pa.Lam, pc.Lam, pa.F > 0.0
-        x, step = a - pa.F * (c - a) / (pc.F - pa.F), np.inf
-        if not a < x < c:
-            x = 0.5 * (a + c)
-        while True:
-            px = point(x)
-            a, c = (x, c) if (px.F > 0.0) == above else (a, x)
-            dx = -px.F / px.slope
-            xn = x + dx
-            if abs(px.F) <= px.e_F or abs(dx) <= 2.0 * _EPS * abs(x):
-                # within rounding: one last step, which costs no evaluation
-                x = xn if a <= xn <= c else x
-                break
-            # Newton inside the bracket, or a split where it leaves it or stalls
-            if not (a < xn < c and abs(dx) <= 0.5 * step):
-                xn = _split(a, c)
-            if not a < xn < c:
-                break
-            step, x = abs(xn - x), xn
-        found.append(x)
-    return np.sqrt(np.sort(-0.25 - np.array(found, dtype=float)))
+    return found
+
+
+def _polish(pa, pc):
+    """Newton steps on ``F`` inside the root's bracket ``[pa, pc]``, from the
+    chord's root, as a generator: it yields each ``Lambda`` it evaluates, is
+    sent its point, and returns the root.  Where a step leaves the bracket or
+    does not halve the previous one, it splits the bracket instead.  It stops
+    when ``F`` or the step is within rounding, after one more step: the
+    rounding bound is a worst case, so the last value is usually far below
+    it."""
+    a, c, above = pa.Lam, pc.Lam, pa.F > 0.0
+    x, step = a - pa.F * (c - a) / (pc.F - pa.F), np.inf
+    if not a < x < c:
+        x = 0.5 * (a + c)
+    while True:
+        px = yield x
+        a, c = (x, c) if (px.F > 0.0) == above else (a, x)
+        dx = -px.F / px.slope if px.slope else np.inf
+        xn = x + dx
+        if abs(px.F) <= px.e_F or abs(dx) <= 2.0 * _EPS * abs(x):
+            # within rounding: one last step, which costs no evaluation
+            return xn if a <= xn <= c else x
+        if not (a < xn < c and abs(dx) <= 0.5 * step):
+            xn = _split(a, c)
+        if not a < xn < c:
+            return x
+        step, x = abs(xn - x), xn
+
+
 
 
 def dispersion_relation(geometry: CapGeometry, mode: int, elements: int = 64,

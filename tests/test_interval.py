@@ -145,13 +145,75 @@ def test_line_census_guards(quarter_tip):
         with pytest.raises(CriticalContrastExcluded):
             ct.has_blackhole(quarter_tip, kappa)
     for geometry, mode in ((quarter_tip, 1), (CENSUS_GEOMETRIES[5], 0)):
-        (_, m_minus), (_, m_plus) = (side.extension() for side in
-                                     ct.dispersion_relation(geometry, mode, 64).sides)
+        m_minus, m_plus = ct.interval._Stack(ct.dispersion_relation(geometry, mode, 64).sides).m
         flat = -m_minus / m_plus
         with pytest.raises(CriticalContrastExcluded, match="mass Schur complements"):
             ct.has_blackhole(geometry, flat, modes=(mode,))
         # a contrast a little off it has a far end
         ct.has_blackhole(geometry, flat * (1.0 + 1e-6), modes=(mode,))
+
+
+def test_stacked_solve_has_each_sides_bits(quarter_tip):
+    # one solve of requests from modes 0 and 3, both regions, a side twice:
+    # each block's solution has the bits of that side's own solve, and the
+    # stack's S and b differ from the side's by less than their rounding
+    # bounds (their sums run in another order)
+    sides = [side for m in (0, 3) for side in ct.dispersion_relation(quarter_tip, m, 64).sides]
+    stack = ct.interval._Stack(sides)
+    blocks = np.array([0, 3, 1, 2, 3, 0])
+    Lams = np.array([-0.25, -0.25, -3.0, -1e3, -7.5, -2e5])
+    x, at, *_ = stack.solve(blocks, Lams)
+    assert at[-1] + len(sides[0].b) == len(x)
+    S, b, e_S, e_b = stack.bounded(blocks, Lams)
+    for j, (i, Lam) in enumerate(zip(blocks, Lams)):
+        _, own = sides[i]._solve(Lam)
+        assert np.array_equal(x[at[j]:at[j] + len(own)], own)
+        S_own, b_own = sides[i](Lam)
+        assert abs(S[j] - S_own) <= e_S[j] and abs(b[j] - b_own) <= e_b[j]
+
+
+@pytest.mark.parametrize("geometry", [CENSUS_GEOMETRIES[1], CENSUS_GEOMETRIES[5]])
+def test_has_blackhole_stop_at_first_is_a_prefix(geometry):
+    # the flag of the full call, and its witnesses of the modes up to the
+    # first witnessing one, in the order given
+    modes = (3, 1, 4, 0, 2)
+    for kappa in (-0.1, -0.3, -0.5, -0.7, -0.9, -0.98):
+        flag, wit = ct.has_blackhole(geometry, kappa, modes, 64)
+        first, partial = ct.has_blackhole(geometry, kappa, modes, 64, stop_at_first=True)
+        assert first == flag
+        upto = modes[:modes.index(wit[0][0]) + 1] if wit else ()
+        assert partial == [w for w in wit if w[0] in upto]
+
+
+def test_has_blackhole_stop_at_first_raises_nothing_after_a_witness(quarter_tip, monkeypatch):
+    # mode 3's interior mass is made indefinite and mode 4's relation fails
+    # to build: a call that reaches them raises, one that stops at mode 0's
+    # witness does not
+    real = ct.interval.dispersion_relation
+
+    def relation(geometry, mode, elements, order):
+        if mode == 4:
+            raise ValueError("mode 4")
+        built = real(geometry, mode, elements, order)
+        if mode == 3:
+            for side in built.sides:
+                side.B_in = -side.B_in
+        return built
+
+    monkeypatch.setattr(ct.interval, "dispersion_relation", relation)
+    flag, wit = ct.has_blackhole(quarter_tip, -0.5, (0, 3, 4), 64, stop_at_first=True)
+    assert flag and {m for m, _ in wit} == {0}
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        ct.has_blackhole(quarter_tip, -0.5, (0, 3, 4), 64)
+    with pytest.raises(np.linalg.LinAlgError):
+        ct.has_blackhole(quarter_tip, -0.5, (3, 0), 64, stop_at_first=True)
+    with pytest.raises(ValueError, match="mode 4"):
+        ct.has_blackhole(quarter_tip, -0.5, (4, 0, 3), 64, stop_at_first=True)
+    # the modes before a failing one are searched, and stop the call
+    flag, wit = ct.has_blackhole(quarter_tip, -0.1, (1, 0), 64, stop_at_first=True)
+    assert not flag
+    with pytest.raises(ValueError, match="mode 4"):
+        ct.has_blackhole(quarter_tip, -0.1, (1, 0, 4), 64, stop_at_first=True)
 
 
 def test_scan_interval_quarter(quarter_tip):

@@ -80,6 +80,11 @@ CONFIGS = {
                                 "modes": [0, 1, 2, 3, 4],
                                 "mesh": {"elements": 128, "order": 2},
                                 "sweep": {"kappa_range": [-0.98, -0.05]}},
+    # the census at N = 256: every mode's 255-dof interior blocks on one stack
+    "interval_alpha09_N256": {"subcommand": "interval",
+                              "geometry": {"kind": "internal", "alpha": 0.9},
+                              "modes": [0, 1, 2, 3, 4],
+                              "mesh": {"elements": 256, "order": 2}},
     "spectrum_order1": {"subcommand": "spectrum", "geometry": QUARTER,
                         "material": HALF, "mesh": N64_LINEAR},
     "interval_dirichlet_order1": {"subcommand": "interval", "geometry": DIRICHLET_RIM,
