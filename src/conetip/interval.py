@@ -177,13 +177,12 @@ def _indefinite(side, what):
     return err
 
 
-def _cross(Mt, x):
+def _cross(Mb, x):
     """By column ``i``, the terms ``sum_d M[i + d, i] x_i x_(i+d)`` of
-    ``x^T M x`` below the diagonal, for ``M`` in transposed lower band
-    storage ``Mt`` (column ``d`` the ``d``-th subdiagonal)."""
+    ``x^T M x`` below the diagonal, for ``M`` in lower band storage ``Mb``."""
     out = np.zeros(len(x))
-    for d in range(1, Mt.shape[1]):
-        out[:-d] += Mt[:-d, d] * (x[:-d] * x[d:])
+    for d in range(1, len(Mb)):
+        out[:-d] += Mb[d, :-d] * (x[:-d] * x[d:])
     return out
 
 
@@ -203,12 +202,12 @@ class _Stack:
     ``pbsv``.  A request list's columns come from the blocks' first columns
     and sizes, with no loop over its requests, and each column's entries
     (its band of ``A_in`` and ``B_in``, and its entries of ``a`` and ``b``)
-    are one row of a table, gathered in one take.
+    are one column of a table, gathered in one take.
 
-    Built, it holds each side's two constants of the census, on the stack
-    too: ``inverse_norm``, an upper bound on ``||K(Lambda)^-1||_2`` for every
-    ``Lambda <= -1/4``, and ``(p, m)``, the values of the interface value's
-    extension by one solve of the interior *mass* rows, ``psi``:
+    Built, it holds each side's two constants of the census, found on the
+    stack too: an upper bound on ``||K(Lambda)^-1||_2`` for every
+    ``Lambda <= -1/4`` (in ``scalars``), and ``p`` and ``m`` of the interface
+    value's extension by one solve of the interior *mass* rows, ``psi``:
     ``p = psi^T A psi`` and ``m = psi^T B psi``, the least ``phi^T B phi``
     over every extension.  Then ``L(Lambda) = p - Lambda m >= S(Lambda)``,
     and ``L - S`` is nondecreasing in ``Lambda``, its derivative being
@@ -226,55 +225,57 @@ class _Stack:
         self.u = u = len(sides[0].A_in) - 1
         self.size = np.array([side.A_in.shape[1] for side in sides])
         self.first = np.cumsum(self.size) - self.size
-        self.table = np.vstack([np.column_stack([side.A_in.T, side.B_in.T, side.a, side.b])
+        # rows: the lower bands of A_in and B_in, then a and b
+        self.table = np.hstack([np.vstack([side.A_in, side.B_in, side.a, side.b])
                                 for side in sides])
         # the band entries past the end of a block would couple it to the next
-        past = np.arange(len(self.table)) - np.repeat(self.first + self.size, self.size)
+        past = np.arange(self.table.shape[1]) - np.repeat(self.first + self.size, self.size)
         for d in range(1, u + 1):
-            self.table[past + d >= 0, d] = self.table[past + d >= 0, u + 1 + d] = 0.0
+            self.table[d, past + d >= 0] = self.table[u + 1 + d, past + d >= 0] = 0.0
         self._pbsv = sides[0]._pbsv
-        A, B = self.table[:, :u + 1], self.table[:, u + 1:2 * u + 2]
+        A, B, a, b = np.split(self.table, [u + 1, 2 * u + 2, 2 * u + 3])
+        a, b = a[0], b[0]
         A_ff, B_ff = np.array([(side.A_ff, side.B_ff) for side in sides]).T
 
         K = A + 0.25 * B
-        L, info = lapack.dpbtrf(K.T, lower=1)
+        L, info = lapack.dpbtrf(K, lower=1)
         self._check(info, np.arange(len(sides)), self.first, "interior block")
-        x = np.ones(len(K))
+        x = np.ones(K.shape[1])
         for _ in range(4):
             x = lapack.dpbtrs(L, x, lower=1)[0]
             x /= np.repeat(np.sqrt(np.add.reduceat(x * x, self.first)), self.size)
-        s = 0.5 * np.add.reduceat(x * _lower_times(K.T, x), self.first)
+        s = 0.5 * np.add.reduceat(x * _lower_times(K, x), self.first)
         # certify K - s I, side by side: where one fails, its s is divided by
         # 4 and it is tried again with the sides after it
-        todo, margin = np.arange(len(sides)), _definite_margin(K.T)
+        todo, margin = np.arange(len(sides)), _definite_margin(K)
         while len(todo):
             if not (s[todo] > 0.0).all():
                 raise _indefinite(todo[np.argmin(s[todo] > 0.0)], "interior block")
-            rows, at = self._rows(todo)
-            H = K.take(rows, axis=0)
-            H[:, 0] = (H[:, 0] - np.repeat(s[todo], self.size[todo])) - margin * H[:, 0]
-            info = lapack.dpbtrf(H.T, lower=1)[1]
+            index, at = self._columns(todo)
+            H = K.take(index, axis=1)
+            H[0] = (H[0] - np.repeat(s[todo], self.size[todo])) - margin * H[0]
+            info = lapack.dpbtrf(H, lower=1)[1]
             if info == 0:
                 break
             j = np.searchsorted(at, info - 1, side="right") - 1
             s[todo[j]] *= 0.25
             todo = todo[j:]
 
-        _, y, info = self._pbsv(B.T, -self.table[:, -1], lower=1)
+        _, y, info = self._pbsv(B, -b, lower=1)
         self._check(info, np.arange(len(sides)), self.first, "interior mass")
         yy = y * y
-        a_y, A_yy, A_cross, b_y, B_yy, B_cross = np.add.reduceat(np.column_stack([
-            self.table[:, -2] * y, A[:, 0] * yy, _cross(A, y),
-            self.table[:, -1] * y, B[:, 0] * yy, _cross(B, y)]), self.first, axis=0).T
+        a_y, A_yy, A_cross, b_y, B_yy, B_cross = np.add.reduceat(np.stack([
+            a * y, A[0] * yy, _cross(A, y), b * y, B[0] * yy, _cross(B, y)]),
+            self.first, axis=1)
         self.p = A_ff + 2.0 * a_y + (A_yy + 2.0 * A_cross)
         self.m = B_ff + 2.0 * b_y + (B_yy + 2.0 * B_cross)
         # per side: A_ff, B_ff, its _norms, its inverse norm and its size
-        self.scalars = np.column_stack([A_ff, B_ff, [side._norms for side in sides],
-                                      1.0 / s, self.size])
+        self.scalars = np.column_stack(
+            [A_ff, B_ff, [side._norms for side in sides], 1.0 / s, self.size])
 
-    def _rows(self, blocks):
-        """The table rows of the columns of ``blocks``, side by side, and
-        where each block starts among them."""
+    def _columns(self, blocks):
+        """The table columns of ``blocks``, side by side, and where each
+        block starts among them."""
         size = self.size[blocks]
         at = np.cumsum(size) - size
         return np.arange(size.sum()) + np.repeat(self.first[blocks] - at, size), at
@@ -289,21 +290,19 @@ class _Stack:
             raise _indefinite(blocks[j], f"{what} (info {info - at[j]})")
 
     def solve(self, blocks, Lams):
-        """``(x, at, rows, lam, f)``: the interior solves
+        """``(x, at, cols, f)``: the interior solves
         ``(A_in - Lambda B_in) x = -f``, ``f = a - Lambda b``, of the requests
         ``(blocks[j], Lams[j])``, side by side, request ``j`` from ``at[j]``
-        on; ``rows`` are their columns' rows of the table and ``lam`` their
-        ``Lambda``."""
+        on; ``cols`` are their columns of the table."""
         u = self.u
-        index, at = self._rows(blocks)
-        rows = self.table.take(index, axis=0)
+        index, at = self._columns(blocks)
+        cols = self.table.take(index, axis=1)
         lam = np.repeat(Lams, self.size[blocks])
-        f = rows[:, -2] - lam * rows[:, -1]
-        # the transposed (columns, u + 1) array is the band in Fortran order
-        K = rows[:, :u + 1] - lam[:, None] * rows[:, u + 1:2 * u + 2]
-        _, x, info = self._pbsv(K.T, -f, lower=1, overwrite_ab=1, overwrite_b=1)
+        f = cols[-2] - lam * cols[-1]
+        _, x, info = self._pbsv(cols[:u + 1] - lam * cols[u + 1:2 * u + 2], -f, lower=1,
+                                overwrite_ab=1, overwrite_b=1)
         self._check(info, blocks, at, "interior block")
-        return x, at, rows, lam, f
+        return x, at, cols, f
 
     def bounded(self, blocks, Lams):
         """``(S, b, e_S, e_b)`` of each request: the values of
@@ -324,12 +323,12 @@ class _Stack:
         ``||dx|| <= ||K^-1|| (||dK|| ||x|| + ||df||)``, ``||K^-1||`` bounded
         by the side's ``inverse_norm``.  The roundings of ``f`` and of the
         sums that form ``S`` and ``b`` are added."""
-        x, at, rows, lam, f = self.solve(blocks, Lams)
+        x, at, cols, f = self.solve(blocks, Lams)
         u, xx = self.u, x * x
         # the terms across blocks of x^T B_in x are 0
-        f_x, b_x, A_xx, B_xx, B_cross, x_x = np.add.reduceat(np.column_stack([
-            f * x, rows[:, -1] * x, rows[:, 0] * xx, rows[:, u + 1] * xx,
-            _cross(rows[:, u + 1:2 * u + 2], x), xx]), at, axis=0).T
+        f_x, b_x, A_xx, B_xx, B_cross, x_x = np.add.reduceat(np.stack([
+            f * x, cols[-1] * x, cols[0] * xx, cols[u + 1] * xx,
+            _cross(cols[u + 1:2 * u + 2], x), xx]), at, axis=1)
         A_ff, B_ff, A_max, B_max, a_norm, b_norm, inverse_norm, n = self.scalars[blocks].T
         S = A_ff - Lams * B_ff + f_x
         b = B_ff + 2.0 * b_x + (B_xx + 2.0 * B_cross)
@@ -404,16 +403,16 @@ def _line_witnesses(modes, relation, kappa: float, stop_at_first: bool = False) 
     every mode's two sides (:class:`_Stack`).  Every decision is made on the
     values of that point alone, so the order of the rounds changes no piece.
 
-    *Errors.*  A mode's error (its relation, its set-up or a solve) is
-    raised once every mode before it is done and none of them ended the
-    call (with ``stop_at_first``, by a witness): as when the modes are
-    searched one after another.  The list then holds the modes up to the
-    first witnessing one."""
+    *Errors.*  A mode's error (building its relation, its set-up on the
+    stack or a solve) is raised once every mode before it is done and none
+    of them ended the call (with ``stop_at_first``, by a witness): as when
+    the modes are searched one after another.  With ``stop_at_first`` the
+    list holds the modes up to the first witnessing one."""
     k, results, live = -kappa, [None] * len(modes), []
     for i, m in enumerate(modes):
         try:
             live.append((i, relation(m).sides))
-        except Exception as err:   # raised in mode order, by settled()
+        except Exception as err:   # any error of a mode is raised in mode order, by settled()
             results[i] = err
 
     def settled():
@@ -443,14 +442,15 @@ def _line_witnesses(modes, relation, kappa: float, stop_at_first: bool = False) 
     (P_m, P_p), (M_m, M_p) = stack.p.reshape(-1, 2).T, stack.m.reshape(-1, 2).T
     E = (stack.size.reshape(-1, 2).sum(axis=1) + 6) * _EPS
     censuses = {}
-    for j, (i, _) in enumerate(live):
-        flat = M_m[j] + kappa * M_p[j]
-        if abs(flat) <= E[j] * (M_m[j] + k * M_p[j]):
+    for j, ((i, _), p_m, m_m, p_p, m_p, e) in enumerate(
+            zip(live, *(v.tolist() for v in (P_m, M_m, P_p, M_p, E)))):
+        flat = m_m + kappa * m_p
+        if abs(flat) <= e * (m_m + k * m_p):
             results[i] = CriticalContrastExcluded(
                 f"kappa={kappa}: the mass Schur complements balance, so the line "
                 "census has no far end")
         else:
-            censuses[j] = _census(kappa, P_m[j] + kappa * P_p[j], flat)
+            censuses[j] = _census(kappa, p_m + kappa * p_p, flat)
 
     def points(at, Lam):
         """The points of the stacked modes ``at`` at ``Lam``: ``F`` with its
@@ -483,9 +483,6 @@ def _line_witnesses(modes, relation, kappa: float, stop_at_first: bool = False) 
                 wants[j] = censuses[j].send(given[:len(want)])
             except StopIteration as stop:
                 results[live[j][0]] = stop.value
-                del wants[j]
-            except Exception as err:   # raised in mode order, by settled()
-                results[live[j][0]] = err
                 del wants[j]
             given = given[len(want):]
     return found

@@ -157,8 +157,13 @@ def test_stacked_solve_has_each_sides_bits(quarter_tip):
     # one solve of requests from modes 0 and 3, both regions, a side twice:
     # each block's solution has the bits of that side's own solve, and the
     # stack's S and b differ from the side's by less than their rounding
-    # bounds (their sums run in another order)
+    # bounds (their sums run in another order).  The band entries past the
+    # end of each side's block, which its own solve does not read, are set
+    # to 1: the stack must not couple its blocks through them
     sides = [side for m in (0, 3) for side in ct.dispersion_relation(quarter_tip, m, 64).sides]
+    for side in sides:
+        for d in range(1, len(side.A_in)):
+            side.A_in[d, -d:] = side.B_in[d, -d:] = 1.0
     stack = ct.interval._Stack(sides)
     blocks = np.array([0, 3, 1, 2, 3, 0])
     Lams = np.array([-0.25, -0.25, -3.0, -1e3, -7.5, -2e5])
