@@ -850,7 +850,7 @@ def test_real_roots_match_mpmath():
     # each lies within 1e-13 (relative, or absolute below 1) of the root of
     # the same secular function in 40 digits.  The distance is one Newton
     # step, the value in 40 digits over the slope in floating point.  When
-    # the polish stopped at its rounding bound without its last step, 21 of
+    # the polish stopped at its rounding bound without its last step, 23 of
     # them were off by more, up to 9.5e-12 (mode 4, alpha = pi/4,
     # kappa = -0.95, Lambda = -19.32)
     mp = pytest.importorskip("mpmath")
