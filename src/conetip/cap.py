@@ -426,18 +426,22 @@ def _from_bands(bands: PencilBands, cap: DiscreteCap, delta: float) -> PencilMat
     return P
 
 
-def _region_bands(geometry: CapGeometry, mode: int, elements: int, order: int):
-    """``(p, blocks)``: the retained interface dof ``p`` and the
-    coefficient-free region matrices ``((A_minus, B_minus), (A_plus, B_plus))``
-    of the cap of that geometry, mode and mesh, in lower band storage on the
-    retained dofs.  They are the pencil of the coefficient 1 on one side of
-    the interface and 0 on the other, so ``A = s_minus A_minus + s_plus A_plus``
-    (likewise B), and they do not depend on a material.
+def _region_bands(geometry: CapGeometry, modes, elements: int, order: int) -> list:
+    """Per mode of ``modes``, ``(p, blocks)``: the retained interface dof
+    ``p`` and the coefficient-free region matrices
+    ``((A_minus, B_minus), (A_plus, B_plus))`` of the cap of that geometry,
+    mode and mesh, in lower band storage on the retained dofs.  They are the
+    pencil of the coefficient 1 on one side of the interface and 0 on the
+    other, so ``A = s_minus A_minus + s_plus A_plus`` (likewise B), and they
+    do not depend on a material.
 
-    The lower triangle of each element matrix is scattered by ``np.bincount``
-    onto band indices in element order, so every entry sums the same terms in
-    the same order as a dense scatter of the whole element matrices, and each
-    entry stands for its mirror image too, so the matrices are exactly
+    The modes share the mesh, the quadrature, the mass matrices and the
+    scatter indices; the element stiffness matrices carry a mode axis.  The
+    lower triangle of each element matrix is scattered by one ``np.bincount``
+    onto band indices, each mode's and side's in a range of bins of its own,
+    in element order, so every entry sums the same terms in the same order
+    as a dense scatter of the whole element matrices of that mode alone, and
+    each entry stands for its mirror image too, so the matrices are exactly
     symmetric."""
     mesh = _build_mesh(geometry, elements, order)
     quad_lat, quad_weight = _quadrature(mesh)
@@ -447,24 +451,32 @@ def _region_bands(geometry: CapGeometry, mode: int, elements: int, order: int):
     jac2 = (2 / np.diff(mesh.nodes)) ** 2
     nn_k = shape_n[:, None] * shape_n[None]      # (shape, shape, Gauss point)
     dd_k = shape_d[:, None] * shape_d[None]
+    squares = np.array(modes, dtype=int)[:, None, None] ** 2
     stiff = (dd_k * (jac2[:, None] * wq * c)[:, None, None]
-             + nn_k * (mode ** 2 * wq / c)[:, None, None]).sum(axis=-1)
+             + nn_k * (squares * wq / c)[:, :, None, None]).sum(axis=-1)
     mass = (nn_k * (wq * c)[:, None, None]).sum(axis=-1)
 
-    # element entry (a, b), a >= b, is band entry (a - b, dof of b)
+    # element entry (a, b), a >= b, is band entry (a - b, dof of b); the
+    # bins of the matrices (every mode's stiffness, then the mass) and sides
+    # follow each other
     a, b = np.tril_indices(order + 1)
     n_full, k = mesh.n_dof_full, mesh.interface_index
-    flat = (a - b) * n_full + mesh.element_dofs[:, b]
     size = (order + 1) * n_full
-    full = np.stack([np.stack([np.bincount(flat[side].ravel(), M[side][:, a, b].ravel(), size)
-                               for M in (stiff, mass)])
-                     for side in (slice(None, k), slice(k, None))])
-    dofs = _retained_dofs(geometry, mode, mesh)
-    n = len(dofs)
-    blocks = full.reshape(2, 2, order + 1, n_full)[..., dofs[0]:dofs[0] + n].copy()
-    for d in range(1, order + 1):
-        blocks[..., d, n - d:] = 0.0   # couplings to eliminated dofs
-    return order * k - dofs[0], blocks
+    flat = (a - b) * n_full + mesh.element_dofs[:, b] \
+        + size * (np.arange(mesh.n_elements) >= k)[:, None]
+    matrices = np.concatenate([stiff, mass[None]])[:, :, a, b]
+    full = np.bincount((flat + 2 * size * np.arange(len(matrices))[:, None, None]).ravel(),
+                       matrices.ravel(), 2 * size * len(matrices))
+    full = full.reshape(len(matrices), 2, order + 1, n_full)
+    out = []
+    for i, mode in enumerate(modes):
+        dofs = _retained_dofs(geometry, mode, mesh)
+        n = len(dofs)
+        blocks = np.stack([full[i], full[-1]], axis=1)[..., dofs[0]:dofs[0] + n].copy()
+        for d in range(1, order + 1):
+            blocks[..., d, n - d:] = 0.0   # couplings to eliminated dofs
+        out.append((order * k - dofs[0], blocks))
+    return out
 
 
 def _dissipated(P: PencilMatrices, delta: float) -> PencilMatrices:
@@ -479,8 +491,8 @@ def assemble_pencil(cap: DiscreteCap) -> PencilMatrices:
     """Assemble the pencil of the cap's material (including its dissipation)
     on the band: the region blocks of :func:`_region_bands`, combined with
     the coefficients in O(n u)."""
-    _, ((A_minus, B_minus), (A_plus, B_plus)) = _region_bands(
-        cap.geometry, cap.mode, cap.mesh.n_elements, cap.mesh.element_order)
+    (_, ((A_minus, B_minus), (A_plus, B_plus))), = _region_bands(
+        cap.geometry, (cap.mode,), cap.mesh.n_elements, cap.mesh.element_order)
     s_minus, s_plus = (sigma_at(cap, cap.geometry.interface_latitude, side)
                        for side in ("minus", "plus"))
     return _from_bands(PencilBands(A=s_minus * A_minus + s_plus * A_plus,

@@ -17,12 +17,13 @@ reduction: it counts each mode's line eigenvalues as the certified roots of
 dispersion curves evaluate (:func:`_line_witnesses`), with no pencil and no
 spectrum.  At the interval's inner end these roots cut each curve into
 pieces that lie on one side of that end, and so bracket every fold the scan
-refines.
+refines, by Brent's method on the Krein sign.  The scan assembles every
+mode's curve at once and evaluates its curves' ends and piece midpoints in
+stacked rounds, on the stack its census runs on (:class:`_Curves`).
 """
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -41,10 +42,6 @@ ALEPH_ALPHA_GUARD = 0.2
 DEFAULT_MODES = (0, 1, 2, 3, 4)
 CONTRAST_NEIGHBORHOOD_GUARD = 0.02
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
-# the dispersion relations of a running scan_interval, by (geometry, mode,
-# elements, order): its has_blackhole call counts on their sides and keeps
-# the public signature; empty elsewhere
-_BUILT = contextvars.ContextVar("conetip_interval_built", default={})
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
@@ -83,7 +80,8 @@ def aleph(alpha: float) -> float:
 
 
 def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
-                  elements: int = 64, order: int = 2, stop_at_first: bool = False):
+                  elements: int = 64, order: int = 2, stop_at_first: bool = False,
+                  *, _stack=None):
     """Whether any azimuthal mode carries an energy-line eigenvalue at this
     contrast.  Returns ``(flag, witnesses)`` with witnesses ``(mode, eta)``,
     ascending in ``eta`` within a mode; ``stop_at_first`` short-circuits
@@ -101,18 +99,14 @@ def has_blackhole(geometry: CapGeometry, kappa: float, modes=DEFAULT_MODES,
     beyond ``LINE_TOL``, so ``line_eigenvalues`` drops the pair as complex
     while the census counts one witness.  A contrast where the two regions'
     mass Schur complements balance (the census has no far end there) raises
-    :class:`~conetip.errors.CriticalContrastExcluded`.  Called from
-    :func:`scan_interval`, it counts on the region sides that the scan's
-    dispersion curves already built."""
+    :class:`~conetip.errors.CriticalContrastExcluded`.  :func:`scan_interval`
+    hands over the stack of its curves' sides (:class:`_Curves`) as the
+    private ``_stack``, and the census runs on it."""
     if kappa >= 0:
         raise CriticalContrastExcluded("contrast must be negative")
-    built, modes = _BUILT.get(), list(modes)
-
-    def relation(m):
-        return built.get((geometry, m, elements, order)) \
-            or dispersion_relation(geometry, m, elements, order)
-
-    found = _line_witnesses(modes, relation, kappa, stop_at_first)
+    modes = list(modes)
+    found = _line_witnesses(modes, lambda m: dispersion_relation(geometry, m, elements, order),
+                            kappa, stop_at_first, _stack)
     witnesses = [(m, float(eta)) for m, etas in zip(modes, found) for eta in etas]
     return len(witnesses) > 0, witnesses
 
@@ -165,8 +159,25 @@ class _Side:
 
     def __call__(self, Lam):
         f, x = self._solve(Lam)
-        return (self.A_ff - Lam * self.B_ff + f @ x,
-                self.B_ff + 2.0 * (self.b @ x) + _quadratic(self.B_in, x))
+        return _interface(self.A_ff, self.B_ff, Lam, f, x, self.b, self.B_in,
+                          _products(x, len(self.B_in) - 1))
+
+
+def _products(x, u):
+    """``[x_i x_(i+d)]`` over ``i``, for ``d = 0, ..., u``."""
+    return [x * x] + [x[:-d] * x[d:] for d in range(1, u + 1)]
+
+
+def _interface(A_ff, B_ff, Lam, f, x, b, B_in, products):
+    """``(S, b)`` of a side at ``Lambda`` from its interior solve ``x``, the
+    right-hand side ``f = a - Lambda b`` and the :func:`_products` of ``x``
+    (which may run on past ``x``): ``S = A_ff - Lambda B_ff + f^T x`` and
+    ``b = B_ff + 2 b^T x + x^T B_in x``, over the lower band storage
+    ``B_in``, each off-diagonal entry twice."""
+    n = len(x)
+    quadratic = B_in[0] @ products[0][:n] + 2.0 * sum(
+        B_in[d, :n - d] @ products[d][:n - d] for d in range(1, len(B_in)))
+    return A_ff - Lam * B_ff + f @ x, B_ff + 2.0 * (b @ x) + quadratic
 
 
 def _indefinite(side, what):
@@ -184,13 +195,6 @@ def _cross(Mb, x):
     for d in range(1, len(Mb)):
         out[:-d] += Mb[d, :-d] * (x[:-d] * x[d:])
     return out
-
-
-def _quadratic(Mb, x):
-    """``x^T M x`` over the lower band storage ``Mb``, each off-diagonal entry
-    twice."""
-    return Mb[0] @ (x * x) + 2.0 * sum(Mb[d, :-d] @ (x[:-d] * x[d:])
-                                       for d in range(1, len(Mb)))
 
 
 class _Stack:
@@ -304,6 +308,19 @@ class _Stack:
         self._check(info, blocks, at, "interior block")
         return x, at, cols, f
 
+    def values(self, blocks, Lams):
+        """``(S, b)`` of each request, with the bits of
+        :meth:`_Side.__call__`: the solution and the products have them,
+        and each request's sums run over its own columns, in the same
+        order."""
+        x, at, cols, f = self.solve(blocks, Lams)
+        band, products = cols[self.u + 1:2 * self.u + 2], _products(x, self.u)
+        A_ff, B_ff = self.scalars[:, :2].T
+        return [_interface(A_ff[i], B_ff[i], Lam, f[j:e], x[j:e], cols[-1, j:e], band[:, j:e],
+                           [p[j:e] for p in products])
+                for i, Lam, j, e in zip(*(v.tolist() for v in (
+                    blocks, Lams, at, at + self.size[blocks])))]
+
     def bounded(self, blocks, Lams):
         """``(S, b, e_S, e_b)`` of each request: the values of
         :meth:`_Side.__call__` and bounds on their rounding errors, to first
@@ -362,10 +379,13 @@ def _triangle(t_a, s, t_c):
     return (s - lo) * (hi - s) / (hi - lo)
 
 
-def _line_witnesses(modes, relation, kappa: float, stop_at_first: bool = False) -> list:
+def _line_witnesses(modes, relation, kappa: float, stop_at_first: bool = False,
+                    stack=None) -> list:
     """Per mode, the ascending ``eta`` of its energy-line eigenvalues at the
     contrast ``kappa < 0``, from the two sides of its dispersion relation
-    (``relation(mode).sides``, :class:`_Side`): the roots
+    (``relation(mode).sides``, :class:`_Side`; or, when the caller has
+    stacked them, ``stack``, every mode's two sides in mode order, and
+    ``relation`` is not called): the roots
     ``Lambda = -1/4 - eta^2`` of ``F = S_minus + kappa S_plus`` on
     ``Lambda <= -1/4``.
 
@@ -411,7 +431,7 @@ def _line_witnesses(modes, relation, kappa: float, stop_at_first: bool = False) 
     k, results, live = -kappa, [None] * len(modes), []
     for i, m in enumerate(modes):
         try:
-            live.append((i, relation(m).sides))
+            live.append((i, None if stack is not None else relation(m).sides))
         except Exception as err:   # any error of a mode is raised in mode order, by settled()
             results[i] = err
 
@@ -429,7 +449,6 @@ def _line_witnesses(modes, relation, kappa: float, stop_at_first: bool = False) 
                 break
         return out
 
-    stack = None
     while live and stack is None:
         try:
             stack = _Stack([side for _, sides in live for side in sides])
@@ -604,20 +623,112 @@ def dispersion_relation(geometry: CapGeometry, mode: int, elements: int = 64,
     returned function carries its two regions (:class:`_Side`) as
     ``.sides``, on which :func:`has_blackhole` counts.
     """
-    p, ((A_minus, B_minus), (A_plus, B_plus)) = _region_bands(
-        geometry, mode, elements, order)
+    return _relation(*_region_bands(geometry, (mode,), elements, order)[0])
+
+
+def _relation(p, blocks):
+    """The dispersion relation of one mode's region bands
+    (:func:`~conetip.cap._region_bands`), interface dof ``p``."""
+    ((A_minus, B_minus), (A_plus, B_plus)) = blocks
     # each region's block: the minus one on dofs [0, p], the plus one on [p, n)
     sides = (_Side(A_minus[:, :p + 1], B_minus[:, :p + 1], -1),
              _Side(A_plus[:, p:], B_plus[:, p:], 0))
 
     def relation(eta):
-        (s_minus, b_minus), (s_plus, b_plus) = (side(-0.25 - eta * eta)
-                                                for side in sides)
-        kappa = -s_minus / s_plus
-        return float(kappa), float(b_minus + kappa * b_plus)
+        return _kappa_krein(*(side(-0.25 - eta * eta) for side in sides))
 
     relation.sides = sides
     return relation
+
+
+def _kappa_krein(minus, plus):
+    """``(kappa, krein)`` of a point from its two sides' ``(S, b)``."""
+    (s_minus, b_minus), (s_plus, b_plus) = minus, plus
+    kappa = -s_minus / s_plus
+    return float(kappa), float(b_minus + kappa * b_plus)
+
+
+class _Curves:
+    """The dispersion curves of a scan's modes, in their order: their
+    relations (:func:`dispersion_relation`) from one assembly of every
+    mode's region bands, and every mode's two sides on one :class:`_Stack`,
+    on which a round of points is one solve and :func:`has_blackhole`'s
+    census runs."""
+
+    def __init__(self, geometry, modes, elements, order):
+        self.relations = [_relation(*bands) for bands in _region_bands(
+            geometry, modes, elements, order)]
+        self.stack = _Stack([side for relation in self.relations for side in relation.sides])
+
+    def at(self, points):
+        """``(kappa, krein)`` at each ``(j, eta)`` of ``points``, on the
+        ``j``-th curve, all in one stacked solve, with the bits of
+        ``relations[j](eta)``."""
+        j, eta = (np.array(v) for v in zip(*points))
+        values = self.stack.values(np.stack([2 * j, 2 * j + 1], axis=1).ravel(),
+                                   np.repeat(-0.25 - eta * eta, 2))
+        return [_kappa_krein(*pair) for pair in zip(values[0::2], values[1::2])]
+
+
+def _fold(curve, a, b, g_a=None, g_b=None):
+    """The largest ``y`` that the fold search on ``[a, b]`` meets, for
+    ``curve(eta) = (y, g)`` with ``g`` of the sign of ``-dy/deta``, negative
+    at ``a`` and nonnegative at ``b`` (its values there are ``g_a`` and
+    ``g_b``, ``None`` where only the sign is known): the fold is the
+    maximum of ``y`` where ``g`` changes sign.
+
+    The bracket is bisected while an end has no value, then cut at the root
+    of ``g`` by Brent's method (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): an inverse quadratic or secant step where it
+    shrinks the bracket fast enough, else a bisection step, and no step
+    shorter than half of ``sqrt(eps)`` times the bracket's right end.  It
+    ends, as a bisection does, once the bracket is within ``sqrt(eps)`` of
+    its right end: ``y`` is stationary at the fold, so the error of the
+    largest value it meets is then at rounding level."""
+    top = -np.inf
+    while g_a is None or g_b is None:
+        if b - a <= _SQRT_EPS * b:
+            return top
+        x = 0.5 * (a + b)
+        y, g = curve(x)
+        top = max(top, y)
+        if g < 0.0:
+            a, g_a = x, g
+        else:
+            b, g_b = x, g
+    # Brent's names: b the best point, c the other end of the bracket, a the
+    # point before b; d the last step and e the one before
+    c, g_c, d = a, g_a, b - a
+    e = d
+    while True:
+        if (g_b < 0.0) == (g_c < 0.0):
+            c, g_c, d = a, g_a, b - a
+            e = d
+        if abs(g_c) < abs(g_b):
+            a, b, c, g_a, g_b, g_c = b, c, b, g_b, g_c, g_b
+        tol = 0.5 * _SQRT_EPS * max(b, c)
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or g_b == 0.0:
+            return top
+        if abs(e) >= tol and abs(g_a) > abs(g_b):
+            s = g_b / g_a
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = g_a / g_c, g_b / g_c
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, g_a = b, g_b
+        b += d if abs(d) > tol else np.copysign(tol, half)
+        y, g_b = curve(b)
+        top = max(top, y)
 
 
 @dataclass(frozen=True)
@@ -658,13 +769,21 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
     which.  Where it lies beyond the inner end, its extreme is at an end of
     the interval (``eta = 0`` in mode 0 of an internal tip) or, when the
     curve moves away from -1 at the left end and toward it at the right end,
-    at the fold between them, found by bisecting on the Krein sign until the
-    bracket is within ``sqrt(eps)`` of its end: ``kappa`` is stationary at a
-    fold, so its error is then at rounding level.  The far end is the
-    extreme over the modes, the first of them on ties.  The range must
-    avoid the 0.02 neighborhood of -1 and contain the far end (else
-    ``no-transition-found``).  The modes are scanned one after another, in
-    the order given.
+    at the fold between them, where the Krein sign changes (at most one
+    fold per interval).  The fold is searched on the Krein value times
+    ``|Lambda|`` (:func:`_fold`, Brent's method), which levels the Krein
+    value's decay along the line, until the bracket is within ``sqrt(eps)``
+    of its end: ``kappa`` is stationary at a fold, so its error is then at
+    rounding level.  The far end is the extreme over the modes, the first of
+    them on ties.  The range must avoid the 0.02 neighborhood of -1 and
+    contain the far end (else ``no-transition-found``).
+
+    Every mode's curve comes from one assembly of the modes' region bands,
+    with every mode's two sides on one stack (:class:`_Curves`): the ends
+    of all modes are one stacked solve, the interval midpoints another, and
+    the census at the inner end runs on the same stack.  A fold search
+    takes one point at a time, on its mode's relation: a stacked round of
+    one point costs more than the point's own two solves.
 
     ``flags`` names two limits of the scan: a curve value it evaluated lies
     on the other side of -1 from the range (a rim's curves can cross -1, and
@@ -682,56 +801,59 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
     # curves are compared in the coordinate far * kappa, growing away from -1
     far = 1.0 if lo > -1.0 else -1.0
     eta_max = elements / np.pi
+    curves = _Curves(geometry, modes, elements, order)
     seen = []   # every (kappa, krein) the scan evaluates
 
-    def traced(relation):
+    def at(points):
+        values = curves.at(points)
+        seen.extend(values)
+        return values
+
+    def krein_sign(eta, krein):
+        """``far`` times the Krein value times ``|Lambda| = 1/4 + eta^2``: the
+        sign of the curve's direction away from -1 as ``eta`` falls, with
+        the Krein value's decay along the line levelled for the fold
+        search's interpolation."""
+        return far * krein * (0.25 + eta * eta)
+
+    def curve(j):
         def evaluate(eta):
-            seen.append(relation(eta))
-            return seen[-1]
+            kappa, krein = curves.relations[j](eta)
+            seen.append((kappa, krein))
+            return far * kappa, krein_sign(eta, krein)
         return evaluate
 
-    curves = [dispersion_relation(geometry, m, elements, order) for m in modes]
-    relations = [traced(relation) for relation in curves]
-    ends = [(relation(0.0), relation(eta_max)) for relation in relations]
-    y_inner = min(far * kappa for end in ends for kappa, _ in end)
+    ends = at([(j, eta) for j in range(len(modes)) for eta in (0.0, eta_max)])
+    starts, stops = ends[0::2], ends[1::2]
+    y_inner = min(far * kappa for kappa, _ in ends)
     endpoint_inner = float(np.clip(far * y_inner, lo, hi))
-    # has_blackhole counts on the sides the curves already built
-    token = _BUILT.set({(geometry, m, elements, order): relation
-                        for m, relation in zip(modes, curves)})
-    try:
-        _, inner_wit = has_blackhole(geometry, endpoint_inner, modes, elements, order)
-    finally:
-        _BUILT.reset(token)
+    _, inner_wit = has_blackhole(geometry, endpoint_inner, modes, elements, order,
+                                 _stack=curves.stack)
     per_mode = {m: sorted(eta for (mm, eta) in inner_wit if mm == m) for m in modes}
 
-    def curve_outer(m, relation, start, stop):
+    pieces = []   # (curve, index, last index, left end, right end)
+    for j, m in enumerate(modes):
         cuts = [0.0, *(eta for eta in per_mode[m] if 0.0 < eta < eta_max), eta_max]
-        outer = max(far * start[0], far * stop[0])
-        last = len(cuts) - 2
-        for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        pieces += [(j, i, len(cuts) - 2, a, b) for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+    outers = [max(far * start[0], far * stop[0]) for start, stop in zip(starts, stops)]
+    for (j, i, last, a, b), (kappa, krein) in zip(
+            pieces, at([(j, 0.5 * (a + b)) for j, _, _, a, b in pieces])):
+        if far * kappa <= far * endpoint_inner:   # not beyond, on all of [a, b]
+            continue
+        outers[j] = max(outers[j], far * kappa)
+        # the curve leaves the inner end at a witness on the left and
+        # returns at one on the right; at eta = 0 and eta_max the Krein sign
+        # tells its direction, and is the fold search's value there
+        g_start, g_stop = krein_sign(0.0, starts[j][1]), krein_sign(eta_max, stops[j][1])
+        if (i > 0 or g_start < 0) and (i < last or g_stop >= 0):
+            g_a = g_start if i == 0 else None
+            g_b = g_stop if i == last else None
             mid = 0.5 * (a + b)
-            kappa, krein = relation(mid)
-            if far * kappa <= far * endpoint_inner:   # not beyond, on all of [a, b]
-                continue
-            outer = max(outer, far * kappa)
-            # the curve leaves the inner end at a witness on the left and
-            # returns at one on the right; at eta = 0 and eta_max the Krein
-            # sign tells its direction
-            if (i > 0 or far * start[1] < 0) and (i < last or far * stop[1] >= 0):
-                while True:
-                    if far * krein < 0:   # still moving away from -1 as eta grows
-                        a = mid
-                    else:
-                        b = mid
-                    if b - a <= _SQRT_EPS * b:
-                        break
-                    mid = 0.5 * (a + b)
-                    kappa, krein = relation(mid)
-                    outer = max(outer, far * kappa)
-        return outer
-
-    outers = [curve_outer(m, relation, *end)
-              for m, relation, end in zip(modes, relations, ends)]
+            if krein_sign(mid, krein) < 0:   # still moving away from -1 as eta grows
+                a, g_a = mid, krein_sign(mid, krein)
+            else:
+                b, g_b = mid, krein_sign(mid, krein)
+            outers[j] = max(outers[j], _fold(curve(j), a, b, g_a, g_b))
     attaining, y_outer = max(zip(modes, outers), key=lambda mo: mo[1])
     endpoint_outer = far * y_outer
     if not lo < endpoint_outer < hi:
@@ -742,7 +864,7 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
     flags = () if internal else ("closed form available for internal tips only",)
     if any(far * (kappa + 1.0) < 0.0 for kappa, _ in seen):
         flags += ("curves cross -1: the other side of -1 is not scanned",)
-    if any(endpoint_inner == stop[0] for _, stop in ends):
+    if any(endpoint_inner == stop[0] for stop in stops):
         flags += ("inner end at the mesh cutoff eta_max: it moves with the mesh",)
     return CriticalInterval(alpha=geometry.alpha,
                             endpoint_inner=endpoint_inner,

@@ -145,6 +145,25 @@ def secular_witnesses(geometry, kappa, modes, elements=64, order=2):
         ct.pencil_for(geometry, mat, m, elements, order))]
 
 
+def bisect_fold(curve, a, b, g_a=None, g_b=None):
+    """The fold search of ``interval._fold`` by bisection alone: the oracle
+    that its interpolating search is held against.  ``curve(eta) = (y, g)``,
+    ``g`` negative at ``a`` and nonnegative at ``b`` (the values ``g_a`` and
+    ``g_b`` are not read); the bracket is halved on the sign of ``g`` until
+    it is within ``sqrt(eps)`` of its right end, and the largest ``y`` met is
+    returned."""
+    top = -np.inf
+    while b - a > np.sqrt(np.finfo(float).eps) * b:
+        x = 0.5 * (a + b)
+        y, g = curve(x)
+        top = max(top, y)
+        if g < 0:
+            a = x
+        else:
+            b = x
+    return top
+
+
 def defective_pencil(eta=1.0):
     """Exactly defective 2x2 symbol pencil: eigenvalue on the line with a
     sigma-self-orthogonal eigenvector and a Jordan chain of length 2."""

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import conetip as ct
 from conetip import spectrum
-from conetip.cap import _reference_shapes
+from conetip.cap import _reference_shapes, _region_bands
 from conetip.errors import CriticalContrastExcluded, DimensionMismatch, InvalidGeometry
 
 
@@ -181,6 +181,35 @@ def test_assembly_matches_element_loop(geometry):
             assert np.abs(M - R).max() <= 1e-14 * np.abs(R).max()
             assert np.array_equal(M, M.T)
         assert (P.A.dtype == np.float64) == (delta == 0.0)
+
+
+@pytest.mark.parametrize("geometry", [
+    ct.CapGeometry("internal", np.pi / 4),
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=np.pi / 2, outer_bc="dirichlet"),
+    ct.CapGeometry("boundary", np.pi / 4, alpha_outer=3 * np.pi / 8, outer_bc="neumann"),
+])
+def test_region_bands_of_many_modes_are_each_modes_own(geometry, critical_material):
+    # one assembly of modes 0-7, shuffled, gives each mode the bits of its
+    # own one-mode call, mode 0 with its pole dofs; the pencil of a cap is
+    # its mode's region bands combined with the coefficients
+    modes = [5, 0, 7, 2, 4, 1, 6, 3]
+    poles = 2 if geometry.kind == "internal" else 1
+    for order in (1, 2):
+        many = dict(zip(modes, _region_bands(geometry, modes, 24, order), strict=True))
+        for mode in modes:
+            (p, blocks), = _region_bands(geometry, (mode,), 24, order)
+            assert p == many[mode][0] and blocks.shape == many[mode][1].shape
+            assert np.array_equal(blocks, many[mode][1])
+        assert many[0][0] == many[1][0] + 1
+        assert many[0][1].shape[-1] == many[1][1].shape[-1] + poles
+        for mode in (0, 3):
+            P = ct.assemble_pencil(ct.build_cap(geometry, critical_material, mode, 24, order))
+            (A_minus, B_minus), (A_plus, B_plus) = many[mode][1]
+            s_minus, s_plus = critical_material.sigma_minus, critical_material.sigma_plus
+            for Mb, want in zip(P.bands, (s_minus * A_minus + s_plus * A_plus,
+                                          s_minus * B_minus + s_plus * B_plus,
+                                          A_minus + A_plus, B_minus + B_plus), strict=True):
+                assert np.array_equal(Mb, want)
 
 
 _TRACED_GEOMETRIES = [

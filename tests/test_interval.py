@@ -1,5 +1,9 @@
+import importlib.util
 import itertools
+import json
+import pathlib
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +15,10 @@ import conetip as ct
 from conetip.errors import (CriticalContrastExcluded, InvalidGeometry,
                             NoTransitionFound, SeriesDomain)
 
-from conftest import full_spectrum_witnesses, secular_witnesses
+from conetip.interval import DEFAULT_MODES
+from conetip.io import parse_config
+
+from conftest import bisect_fold, full_spectrum_witnesses, secular_witnesses
 
 
 def test_hyp2f1_at_zero():
@@ -338,6 +345,94 @@ def test_scan_interval_far_end_at_a_fold(geometry, modes, attaining):
     assert sampled <= ci.endpoint_outer <= sampled + 1e-6
 
 
+# the apertures of the interval_scan benchmark at seed 7
+BENCH_APERTURES = (np.pi / 4, 0.67501145599256, 0.827665656116349, 0.9330822828294232,
+                   0.9870248627988709, 1.116019954189347)
+
+
+def _compare_outputs_scans():
+    """``scan_interval`` arguments of every interval config of
+    ``tools/compare_outputs.py``, read as the CLI reads them."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    scans = []
+    for config in tool.CONFIGS.values():
+        if config["subcommand"] == "interval":
+            run = parse_config(json.dumps(config))
+            scans.append((run.geometry, tuple(run.sweep["kappa_range"]), run.modes,
+                          run.mesh["elements"], run.mesh["order"]))
+    return scans
+
+
+ORACLE_SCANS = [(geometry, (-0.97, -0.05), modes, 64, 2) for geometry, modes, _ in FOLD_SCANS] + [
+    (ct.CapGeometry("internal", alpha), (-0.9, -0.05), DEFAULT_MODES, elements, 2)
+    for alpha in BENCH_APERTURES for elements in (64, 128)] + _compare_outputs_scans()
+
+
+def _counting(monkeypatch):
+    """Count the scan's curve evaluations: the points of its stacked rounds,
+    and those of each fold search (one entry per search)."""
+    counts = SimpleNamespace(stacked=0, folds=[])
+    at, fold = ct.interval._Curves.at, ct.interval._fold
+
+    def counted_at(self, points):
+        counts.stacked += len(points)
+        return at(self, points)
+
+    def counted_fold(curve, *bracket):
+        counts.folds.append(0)
+
+        def counted(eta):
+            counts.folds[-1] += 1
+            return curve(eta)
+        return fold(counted, *bracket)
+
+    monkeypatch.setattr(ct.interval._Curves, "at", counted_at)
+    monkeypatch.setattr(ct.interval, "_fold", counted_fold)
+    return counts
+
+
+@pytest.mark.parametrize("scan", ORACLE_SCANS)
+def test_fold_search_matches_the_bisection_oracle(scan, monkeypatch):
+    # the same decisions as the bisection, and the far end within the noise
+    # of a kappa evaluation: each keeps the largest of differently placed
+    # samples; at most 12 evaluations per fold
+    counts = _counting(monkeypatch)
+    ci = ct.scan_interval(*scan)
+    assert max(counts.folds, default=0) <= 12, counts.folds
+    with monkeypatch.context() as m:
+        m.setattr(ct.interval, "_fold", bisect_fold)
+        oracle = ct.scan_interval(*scan)
+    assert (ci.flags, ci.attaining_mode, ci.endpoint_inner, ci.per_mode) == (
+        oracle.flags, oracle.attaining_mode, oracle.endpoint_inner, oracle.per_mode)
+    assert abs(ci.endpoint_outer - oracle.endpoint_outer) <= 5e-14 * abs(oracle.endpoint_outer)
+
+
+def test_default_scan_evaluation_count(quarter_tip, monkeypatch):
+    # 10 ends and 10 piece midpoints in two stacked rounds, and two fold
+    # searches: 32 evaluations (73 with the bisection)
+    counts = _counting(monkeypatch)
+    ct.scan_interval(quarter_tip, modes=range(5), elements=64)
+    assert counts.stacked == 20 and len(counts.folds) == 2
+    assert counts.stacked + sum(counts.folds) <= 45
+
+
+@pytest.mark.parametrize("geometry", [CENSUS_GEOMETRIES[1], CENSUS_GEOMETRIES[3],
+                                      FOLD_SCANS[-2][0]])
+def test_stacked_rounds_have_the_bits_of_the_relations(geometry):
+    # a stacked round of every mode at the ends and inside the line gives
+    # each point the bits of that mode's own dispersion_relation
+    modes, elements = (4, 0, 2, 1, 3), 64
+    curves = ct.interval._Curves(geometry, modes, elements, 2)
+    etas = (0.0, 1e-3, 0.7, 2.5, 9.0, elements / np.pi)
+    points = [(j, eta) for eta in etas for j in range(len(modes))]
+    relations = [ct.dispersion_relation(geometry, m, elements, 2) for m in modes]
+    assert curves.at(points) == [relations[j](eta) for j, eta in points]
+    assert curves.at(points) == [curves.relations[j](eta) for j, eta in points]
+
+
 def test_scan_interval_witnesses_bracket_an_inner_fold(quarter_tip, monkeypatch):
     # a synthetic curve that moves toward -1 at both ends of [0, 16/pi] and
     # peaks in between, above both ends, after dipping below the inner end:
@@ -351,8 +446,12 @@ def test_scan_interval_witnesses_bracket_an_inner_fold(quarter_tip, monkeypatch)
         etas = sorted((ph - 0.5) / 2.0 for ph in phases if ph >= 0.5)
         return bool(etas), [(modes[0], eta) for eta in etas]
 
-    monkeypatch.setattr(ct.interval, "dispersion_relation", lambda *args: relation)
-    monkeypatch.setattr(ct.interval, "has_blackhole", witnesses)
+    # the scan reads its curves and stacked rounds from one _Curves, and
+    # hands its stack to has_blackhole
+    curves = SimpleNamespace(relations=[relation], stack=None,
+                             at=lambda points: [relation(eta) for _, eta in points])
+    monkeypatch.setattr(ct.interval, "_Curves", lambda *args: curves)
+    monkeypatch.setattr(ct.interval, "has_blackhole", lambda *args, _stack: witnesses(*args))
     ci = ct.scan_interval(quarter_tip, kappa_range=(-0.95, -0.05), modes=(0,),
                           elements=16)
     assert relation(0.0)[0] < -0.42 and relation(16 / np.pi)[0] < -0.65

@@ -32,6 +32,9 @@ NEUMANN_RIM = {"kind": "boundary", "alpha": math.pi / 4, "alpha_outer": 3 * math
 # move at the mesh cutoff
 CROSSING_RIM = {"kind": "boundary", "alpha": 0.5, "alpha_outer": 0.7, "outer_bc": "neumann"}
 NARROW_RIM = {"kind": "boundary", "alpha": 0.5, "alpha_outer": 0.55, "outer_bc": "neumann"}
+# a Neumann rim close to the interface, where several modes' curves fold
+FOLD_RIM = {"kind": "boundary", "alpha": math.pi / 4, "alpha_outer": 3 * math.pi / 8,
+            "outer_bc": "neumann"}
 HALF = {"kappa": -0.5}
 N64 = {"elements": 64, "order": 2}
 # order-1 elements: pencils of half-bandwidth 1
@@ -85,6 +88,10 @@ CONFIGS = {
                               "geometry": {"kind": "internal", "alpha": 0.9},
                               "modes": [0, 1, 2, 3, 4],
                               "mesh": {"elements": 256, "order": 2}},
+    # the far end at a fold of mode 0, with folds of modes 1-4 searched too
+    "interval_two_folds_rim": {"subcommand": "interval", "geometry": FOLD_RIM,
+                               "modes": [0, 1, 2, 3, 4], "mesh": N64,
+                               "sweep": {"kappa_range": [-0.97, -0.05]}},
     "spectrum_order1": {"subcommand": "spectrum", "geometry": QUARTER,
                         "material": HALF, "mesh": N64_LINEAR},
     "interval_dirichlet_order1": {"subcommand": "interval", "geometry": DIRICHLET_RIM,
