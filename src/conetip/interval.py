@@ -810,9 +810,9 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
         return values
 
     def krein_sign(eta, krein):
-        """``far`` times the Krein value times ``|Lambda| = 1/4 + eta^2``: the
-        sign of the curve's direction away from -1 as ``eta`` falls, with
-        the Krein value's decay along the line levelled for the fold
+        """``far`` times the Krein value times ``|Lambda| = 1/4 + eta^2``:
+        negative where the curve moves away from -1 as ``eta`` grows, and
+        with the Krein value's decay along the line levelled for the fold
         search's interpolation."""
         return far * krein * (0.25 + eta * eta)
 
@@ -849,10 +849,11 @@ def scan_interval(geometry: CapGeometry, kappa_range=(-0.9, -0.05),
             g_a = g_start if i == 0 else None
             g_b = g_stop if i == last else None
             mid = 0.5 * (a + b)
-            if krein_sign(mid, krein) < 0:   # still moving away from -1 as eta grows
-                a, g_a = mid, krein_sign(mid, krein)
+            g_mid = krein_sign(mid, krein)
+            if g_mid < 0:   # still moving away from -1 as eta grows
+                a, g_a = mid, g_mid
             else:
-                b, g_b = mid, krein_sign(mid, krein)
+                b, g_b = mid, g_mid
             outers[j] = max(outers[j], _fold(curve(j), a, b, g_a, g_b))
     attaining, y_outer = max(zip(modes, outers), key=lambda mo: mo[1])
     endpoint_outer = far * y_outer
